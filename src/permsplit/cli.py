@@ -70,12 +70,17 @@ def parse_hyperplane(text: str, n: int) -> SplitHyperplane:
 
 
 def _read_doc(arg: str):
-    if arg == "-":
-        return json.loads(sys.stdin.read())
-    if arg.startswith("@"):
-        with open(arg[1:], encoding="utf-8") as fh:
-            return json.load(fh)
-    return json.loads(arg)
+    try:
+        if arg == "-":
+            return json.loads(sys.stdin.read())
+        if arg.startswith("@"):
+            with open(arg[1:], encoding="utf-8") as fh:
+                return json.load(fh)
+        return json.loads(arg)
+    except OSError as exc:
+        raise UsageError(f"cannot read {arg}: {exc.strerror}") from exc
+    except ValueError as exc:  # JSONDecodeError, or undecodable bytes
+        raise UsageError(f"malformed JSON: {exc}") from exc
 
 
 def _subset_from_str(s: str):

@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain as _chain
 from itertools import combinations
+from math import lcm
 
 from .errors import DomainError, ExchangeAxiomError
 
@@ -199,11 +200,14 @@ def is_quotient(m: SetMatroid, n: SetMatroid, criterion: int = 1) -> bool:
     raise DomainError(f"unknown quotient criterion {criterion!r}")
 
 
-# --- exact linear algebra over the rationals, for matrix ingestion ---------
+# --- exact linear algebra, for matrix ingestion and polytope ranks ---------
 
 
 def _as_fraction_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
-    mat = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    try:
+        mat = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"malformed matrix entry: {exc}") from exc
     if not mat:
         raise DomainError("empty matrix")
     width = {len(r) for r in mat}
@@ -212,23 +216,23 @@ def _as_fraction_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
     return mat
 
 
-def _rational_rank(rows) -> int:
-    mat = [list(r) for r in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    col = 0
+def _matrix_rank_int(rows) -> int:
+    mat = [list(r) for r in rows if any(r)]
+    if not mat:
+        return 0
+    ncols = len(mat[0])
+    rank, col = 0, 0
     while rank < len(mat) and col < ncols:
         piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if piv is None:
             col += 1
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
-        pv = mat[rank][col]
+        pk = mat[rank][col]
         for r in range(rank + 1, len(mat)):
-            f = mat[r][col] / pv
+            f = mat[r][col]
             if f:
-                for c in range(col, ncols):
-                    mat[r][c] -= f * mat[rank][c]
+                mat[r] = [pk * x - f * y for x, y in zip(mat[r], mat[rank])]
         rank += 1
         col += 1
     return rank
@@ -240,15 +244,18 @@ def matroid_from_rational_matrix(rows) -> SetMatroid:
     Bases are the r-subsets of columns of rank r, where r = rank of the whole
     matrix; entries may be Fractions, ints, or "p/q" strings.
     """
-    mat = _as_fraction_rows(rows)
+    mat = []
+    for row in _as_fraction_rows(rows):  # clearing denominators keeps the matroid
+        den = lcm(*(x.denominator for x in row))
+        mat.append([int(x * den) for x in row])
     ncols = len(mat[0])
-    r = _rational_rank(mat)
+    r = _matrix_rank_int(mat)
     if r == 0:
         return SetMatroid(n=ncols, bases=frozenset([frozenset()]), rank=0)
     bases = []
     for cols in combinations(range(ncols), r):
         sub = [[row[c] for c in cols] for row in mat]
-        if _rational_rank(sub) == r:
+        if _matrix_rank_int(sub) == r:
             bases.append(frozenset(c + 1 for c in cols))
     return matroid_from_bases(ncols, bases)
 

@@ -23,6 +23,9 @@ Perm = tuple[int, ...]
 # a full chain of subsets B_1 c B_2 c ... c B_n = [n]
 Chain = tuple[frozenset[int], ...]
 
+# largest n that bruhat_interval accepts; it filters all n! permutations
+MAX_INTERVAL_N = 8
+
 
 def perm(values) -> Perm:
     """Validate and normalize one-line notation (a bijection of [n])."""
@@ -92,6 +95,8 @@ def bruhat_leq(u: Perm, v: Perm) -> bool:
 
 def bruhat_interval(u: Perm, v: Perm) -> tuple[Perm, ...]:
     """All z with u <= z <= v, sorted lexicographically."""
+    if len(u) > MAX_INTERVAL_N:
+        raise DomainError(f"bruhat_interval needs n <= {MAX_INTERVAL_N}, got n={len(u)}")
     if not bruhat_leq(u, v):
         raise DomainError(f"{u} is not <= {v} in Bruhat order")
     n = len(u)

@@ -14,8 +14,8 @@ from itertools import combinations, permutations
 from math import comb, lcm
 
 from .errors import DomainError
-from .matroid import is_quotient
-from .perm import BruhatInterval, Perm, bruhat_interval, bruhat_leq, perm
+from .matroid import _matrix_rank_int, is_quotient
+from .perm import BruhatInterval, Perm, bruhat_interval, bruhat_leq, length, perm
 
 Point = tuple  # n exact rationals (ints or Fractions)
 
@@ -222,24 +222,16 @@ def flag_polytope_vertices(constituents) -> frozenset[Point]:
 def is_bip(points) -> BruhatInterval | None:
     """Recognize a point set as a full Bruhat interval.
 
-    Needs a unique minimal and maximal element whose interval reproduces the
-    set exactly; every point must be a permutation.
+    An interval's bottom and top are its unique points of least and greatest
+    length, so one point of each length must span an interval that
+    reproduces the set exactly; a second point of that length would lie
+    outside it.  Every point must be a permutation.
     """
-    pts = sorted({perm(p) for p in points})
+    pts = {perm(p) for p in points}
     if not pts:
         return None
-    minimal = [
-        p for p in pts if not any(q != p and bruhat_leq(q, p) for q in pts)
-    ]
-    maximal = [
-        p for p in pts if not any(q != p and bruhat_leq(p, q) for q in pts)
-    ]
-    if len(minimal) != 1 or len(maximal) != 1:
-        return None
-    lo, hi = minimal[0], maximal[0]
-    if not bruhat_leq(lo, hi):
-        return None
-    if set(bruhat_interval(lo, hi)) != set(pts):
+    lo, hi = min(pts, key=length), max(pts, key=length)
+    if not bruhat_leq(lo, hi) or set(bruhat_interval(lo, hi)) != pts:
         return None
     return BruhatInterval(lo, hi)
 
@@ -275,28 +267,6 @@ def _solve_square(rows, rhs, n):
             s -= a[i][j] * xs[j]
         xs[i] = s / a[i][i]
     return tuple(xs)
-
-
-def _matrix_rank_int(rows) -> int:
-    mat = [list(r) for r in rows if any(r)]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank, col = 0, 0
-    while rank < len(mat) and col < ncols:
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pk = mat[rank][col]
-        for r in range(rank + 1, len(mat)):
-            f = mat[r][col]
-            if f:
-                mat[r] = [pk * x - f * y for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-        col += 1
-    return rank
 
 
 def affine_rank(points) -> int:

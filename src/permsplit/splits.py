@@ -18,12 +18,11 @@ normalizes to the representative with the smaller (|S|, sorted S).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import accumulate, combinations
 from math import comb
+from operator import itemgetter
 
 from .errors import DomainError
 from .lpm import flag_of_interval
@@ -36,6 +35,9 @@ from .perm import (
     set_sequences,
 )
 from .polytope import Face2D, faces_2d, is_bip, permutahedron_edges, permutahedron_vertices
+
+# largest n that exhaustive_scan accepts: n=7 takes seconds, n=8 has 11x its 2-faces
+MAX_SCAN_N = 7
 
 
 def _support_bounds(n: int, size: int) -> tuple[int, int]:
@@ -134,7 +136,7 @@ def theorem_hyperplanes(n: int) -> tuple[SplitHyperplane, ...]:
     return tuple(sorted(out, key=SplitHyperplane.sort_key))
 
 
-def _split_verdict(n: int, support: frozenset[int], level: Fraction) -> SplitReport:
+def _split_verdict(n: int, support: frozenset[int], level) -> SplitReport:
     perms = permutahedron_vertices(n)
     vals = {p: sum(p[i - 1] for i in support) for p in perms}
 
@@ -185,7 +187,7 @@ def _split_verdict(n: int, support: frozenset[int], level: Fraction) -> SplitRep
 
 def check_split(h: SplitHyperplane) -> SplitReport:
     """Classify the split induced by h; all failures are verdicts."""
-    return _split_verdict(h.n, h.support, Fraction(h.level))
+    return _split_verdict(h.n, h.support, h.level)
 
 
 def _classify(h: SplitHyperplane):
@@ -265,54 +267,77 @@ def dual_hyperplane(h: SplitHyperplane) -> SplitHyperplane:
     )
 
 
-def _scan_levels(n, support, half_levels):
+@lru_cache(maxsize=None)
+def _sweep_tables(n: int):
+    """Π_n by vertex index: value columns, edges as index pairs, and a getter
+    per square and hexagon that reads the face's values from a list in vertex
+    order; a hexagon's getter yields its ``lo`` and ``hi`` values first."""
+    perms = permutahedron_vertices(n)
+    index = {p: k for k, p in enumerate(perms)}
+    edges = tuple(tuple(index[p] for p in e) for e in permutahedron_edges(n))
+    squares, hexagons = [], []
+    for face in faces_2d(n):
+        verts = [index[p] for p in face.vertices]
+        if face.shape == "square":
+            squares.append(itemgetter(*verts))
+        else:
+            hexagons.append(itemgetter(index[face.lo], index[face.hi], *verts))
+    return tuple(zip(*perms)), edges, tuple(squares), tuple(hexagons)
+
+
+def _open_levels(n: int, support) -> list[int]:
+    """Doubled levels strictly inside the range of x_S that no face forbids.
+
+    One pass over 2x_S marks forbidden levels in a difference array: an edge
+    or a square forbids the open range of its values, a hexagon the part of
+    it where ``lo`` and ``hi`` are not strictly on opposite sides.
+    """
+    columns, edges, squares, hexagons = _sweep_tables(n)
+    vals = [2 * v for v in map(sum, zip(*(columns[i - 1] for i in support)))]
     lo, hi = _support_bounds(n, len(support))
-    levels = [Fraction(a) for a in range(lo + 1, hi)]
-    if half_levels:
-        levels += [Fraction(2 * a + 1, 2) for a in range(lo, hi)]
-    return levels
-
-
-def _scan_candidate(args):
-    n, support, level = args
-    verdict = _split_verdict(n, frozenset(support), Fraction(level)).verdict
-    return support, level, verdict
-
-
-def worker_count() -> int:
-    """Parallelism cap from PERMSPLIT_THREADS (default 1 = sequential)."""
-    raw = os.environ.get("PERMSPLIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    diff = [0] * (2 * hi + 1)
+    for a, b in edges:  # values 2 apart at most: only the half level between
+        if vals[a] != vals[b]:
+            mid = (vals[a] + vals[b]) // 2
+            diff[mid] += 1
+            diff[mid + 1] -= 1
+    for get in squares:
+        fv = get(vals)
+        low, top = min(fv), max(fv)
+        if low < top:
+            diff[low + 1] += 1
+            diff[top] -= 1
+    for get in hexagons:
+        fv = get(vals)
+        low, top = min(fv), max(fv)
+        x, y = sorted(fv[:2])
+        if low < x:  # levels low+1 .. x leave lo and hi on one side
+            diff[low + 1] += 1
+            diff[x + 1] -= 1
+        if y < top:  # and so do levels y .. top-1
+            diff[y] += 1
+            diff[top] -= 1
+    counts = list(accumulate(diff))
+    return [t for t in range(2 * lo + 1, 2 * hi) if not counts[t]]
 
 
 def exhaustive_scan(n: int, include_half_levels: bool = False) -> tuple[SplitHyperplane, ...]:
     """Every (support, level) whose verdict is good-split, canonically sorted.
 
-    Integer levels suffice: the middle cell of a split contains permutation
-    vertices, which pins x_S to an integer.  ``include_half_levels`` widens
-    the sweep to half-integers so that claim can be exercised directly.
+    A verdict-only sweep in integers: it tests the same edges and 2-faces as
+    ``check_split`` but builds no cells.  Integer levels suffice: the middle
+    cell of a split contains permutation vertices, which pins x_S to an
+    integer.  ``include_half_levels`` checks that claim directly and raises
+    if a half-integer level passes every face test.
     """
-    if n < 3:
-        raise DomainError("need n >= 3")
-    jobs = []
+    if not 3 <= n <= MAX_SCAN_N:
+        raise DomainError(f"exhaustive_scan needs 3 <= n <= {MAX_SCAN_N}, got n={n}")
+    good = []
     for size in range(1, n):
         for s in combinations(range(1, n + 1), size):
-            for level in _scan_levels(n, s, include_half_levels):
-                jobs.append((n, s, level))
-    workers = worker_count()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_candidate, jobs, chunksize=8))
-    else:
-        results = [_scan_candidate(j) for j in jobs]
-    good = set()
-    for s, level, verdict in results:
-        if verdict != "good-split":
-            continue
-        if Fraction(level).denominator != 1:
-            raise RuntimeError(f"non-integer level {level} on {s} gave a good split")
-        good.add(SplitHyperplane(n=n, support=frozenset(s), level=int(level)))
-    return tuple(sorted(good, key=SplitHyperplane.sort_key))
+            for t in _open_levels(n, s):
+                if t % 2 == 0:
+                    good.append(SplitHyperplane(n=n, support=frozenset(s), level=t // 2))
+                elif include_half_levels:
+                    raise RuntimeError(f"non-integer level {t}/2 on {s} gave a good split")
+    return tuple(sorted(set(good), key=SplitHyperplane.sort_key))

@@ -13,7 +13,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb
 
 from .lpm import (
     LPFMFlag,
@@ -46,6 +45,7 @@ from .polytope import (
 )
 from .splits import (
     SplitHyperplane,
+    _classify,
     check_split,
     dual_hyperplane,
     exhaustive_scan,
@@ -299,8 +299,8 @@ def check_duality(n: int) -> CheckResult:
             n=n, support=frozenset({1}), level=n - r + 1
         ):
             problems.append(f"x1={r}: dual level is not {n - r + 1}")
-    lows = {h for h in good if _prefix_kind(h) == "low"}
-    highs = {h for h in good if _prefix_kind(h) == "high"}
+    lows = {h for h in good if _classify(h)[0] == "prefix-low"}
+    highs = {h for h in good if _classify(h)[0] == "prefix-high"}
     if {dual_hyperplane(h) for h in lows} != highs:
         problems.append("duals of low prefix sums are not the high prefix sums")
     # fixed six-element examples
@@ -317,21 +317,6 @@ def check_duality(n: int) -> CheckResult:
         not problems,
         f"{len(good)} good splits dualized" if not problems else "; ".join(problems),
     )
-
-
-def _prefix_kind(h: SplitHyperplane):
-    n = h.n
-    for support, level in (
-        (h.support, h.level),
-        (frozenset(range(1, n + 1)) - h.support, n * (n + 1) // 2 - h.level),
-    ):
-        j = len(support)
-        if support == frozenset(range(1, j + 1)) and 2 <= j <= n - 2:
-            if level == comb(j + 1, 2) + 1:
-                return "low"
-            if level == sum(range(n - j + 2, n + 1)) + (n - j):
-                return "high"
-    return None
 
 
 def check_l4_poset() -> CheckResult:

@@ -154,3 +154,26 @@ def test_verify_n3(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["split", "nonsense", "-n", "4"]) == 2
     assert main([]) == 2
+
+
+def test_size_limits_exit_code(capsys):
+    code, out, err = run(capsys, "split", "scan", "-n", "12")
+    assert code == 1 and not out and "n <= 7" in err
+    code, out, err = run(capsys, "bruhat", "interval", "123456789", "987654321")
+    assert code == 1 and not out and "n <= 8" in err
+
+
+def test_malformed_json_exit_code(capsys):
+    code, out, err = run(capsys, "matroid", "validate", "{bad")
+    assert code == 2 and not out and "malformed JSON" in err
+
+
+def test_missing_file_exit_code(capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, "matroid", "circuits", f"@{missing}")
+    assert code == 2 and not out and "cannot read" in err
+
+
+def test_zero_denominator_exit_code(capsys):
+    code, out, err = run(capsys, "matroid", "from-matrix", '[["1/0"]]')
+    assert code == 1 and not out and "malformed matrix entry" in err

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -6,6 +7,7 @@ import pytest
 from permsplit import (
     DomainError,
     LinearConstraint,
+    bruhat_interval,
     bruhat_leq,
     enumerate_vertices,
     faces_2d,
@@ -164,6 +166,40 @@ def test_is_bip_round_trip_exhaustive():
                 if bruhat_leq(u, v):
                     iv = BruhatInterval(u, v)
                     assert is_bip(iv.members()) == iv
+
+
+def _quadratic_is_bip(points):
+    # the definition: unique minimal and maximal elements spanning the set
+    pts = sorted({tuple(p) for p in points})
+    if not pts:
+        return None
+    minimal = [p for p in pts if not any(q != p and bruhat_leq(q, p) for q in pts)]
+    maximal = [p for p in pts if not any(q != p and bruhat_leq(p, q) for q in pts)]
+    if len(minimal) != 1 or len(maximal) != 1:
+        return None
+    lo, hi = minimal[0], maximal[0]
+    if not bruhat_leq(lo, hi) or set(bruhat_interval(lo, hi)) != set(pts):
+        return None
+    return BruhatInterval(lo, hi)
+
+
+def test_is_bip_matches_quadratic_definition():
+    rng = random.Random(4)
+    for n in (1, 2, 3, 4):
+        perms = list(permutations(range(1, n + 1)))
+        for u in perms:
+            for v in perms:
+                if not bruhat_leq(u, v):
+                    continue
+                members = bruhat_interval(u, v)
+                cases = [members, rng.sample(members, rng.randint(1, len(members)))]
+                cases += [members + (z,) for z in perms if z not in members]
+                for pts in cases:
+                    assert is_bip(pts) == _quadratic_is_bip(pts), pts
+    s4 = list(permutations(range(1, 5)))
+    for _ in range(500):
+        pts = rng.sample(s4, rng.randint(1, len(s4)))
+        assert is_bip(pts) == _quadratic_is_bip(pts), pts
 
 
 def test_enumerate_vertices_permutahedra():

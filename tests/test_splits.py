@@ -1,3 +1,6 @@
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
 
 from permsplit import (
@@ -13,7 +16,15 @@ from permsplit import (
     predicted_cells,
     theorem_hyperplanes,
 )
-from permsplit.splits import hyperplane_from_json, hyperplane_text, hyperplane_to_json
+from permsplit.splits import (
+    MAX_SCAN_N,
+    _open_levels,
+    _split_verdict,
+    _support_bounds,
+    hyperplane_from_json,
+    hyperplane_text,
+    hyperplane_to_json,
+)
 
 
 def H(n, support, level):
@@ -140,7 +151,7 @@ def test_dual_hyperplane_cells_are_dual_intervals():
 
 
 def test_exhaustive_scan():
-    for n in (3, 4):
+    for n in (3, 4, 5, 6):
         assert set(exhaustive_scan(n)) == set(theorem_hyperplanes(n))
 
 
@@ -150,13 +161,27 @@ def test_exhaustive_scan_half_levels_add_nothing():
         assert set(wide) == set(theorem_hyperplanes(n))
 
 
-def test_exhaustive_scan_worker_pool(monkeypatch):
-    monkeypatch.setenv("PERMSPLIT_THREADS", "2")
-    assert set(exhaustive_scan(3)) == set(theorem_hyperplanes(3))
-    monkeypatch.setenv("PERMSPLIT_THREADS", "not-a-number")
-    from permsplit.splits import worker_count
+def test_exhaustive_scan_size_limit():
+    with pytest.raises(DomainError):
+        exhaustive_scan(2)
+    with pytest.raises(DomainError):
+        exhaustive_scan(MAX_SCAN_N + 1)
 
-    assert worker_count() == 1
+
+def test_open_levels_match_check_split():
+    # the sweep's good levels, half-levels included, against one verdict per level
+    for n in (3, 4, 5):
+        for size in range(1, n):
+            for s in combinations(range(1, n + 1), size):
+                lo, hi = _support_bounds(n, size)
+                slow = [
+                    t for t in range(2 * lo + 1, 2 * hi)
+                    if _split_verdict(n, frozenset(s), Fraction(t, 2)).verdict == "good-split"
+                ]
+                assert _open_levels(n, s) == slow, (n, s)
+                for t in range(2 * lo + 2, 2 * hi, 2):
+                    report = check_split(H(n, s, t // 2))
+                    assert (report.verdict == "good-split") == (t in slow), (n, s, t)
 
 
 def test_json_round_trip():
