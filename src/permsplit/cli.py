@@ -10,6 +10,7 @@ import argparse
 import json
 import re
 import sys
+from functools import lru_cache
 
 from .errors import DomainError
 from . import lpm as lpm_mod
@@ -375,7 +376,9 @@ def _add_format(p):
     p.add_argument("--format", choices=("table", "json", "dot"), default="table")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process and reused by every ``main``."""
     parser = argparse.ArgumentParser(
         prog="permsplit",
         description="Bruhat order, lattice path matroid flags, and hyperplane "

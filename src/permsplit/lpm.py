@@ -17,14 +17,6 @@ from .matroid import SetMatroid, exchange_violation, is_quotient, matroid_from_b
 from .perm import BruhatInterval, bruhat_interval, bruhat_permutation_of_chain
 
 
-def gale_leq(a, b) -> bool:
-    """Componentwise order on equal-size sorted subsets."""
-    sa, sb = sorted(a), sorted(b)
-    if len(sa) != len(sb):
-        raise DomainError("Gale comparison needs equal-size subsets")
-    return all(x <= y for x, y in zip(sa, sb))
-
-
 @dataclass(frozen=True)
 class LatticePathMatroid:
     n: int

@@ -200,7 +200,7 @@ def is_quotient(m: SetMatroid, n: SetMatroid, criterion: int = 1) -> bool:
     raise DomainError(f"unknown quotient criterion {criterion!r}")
 
 
-# --- exact linear algebra, for matrix ingestion and polytope ranks ---------
+# --- exact linear algebra, for matrix ingestion and polytope ranks and solves
 
 
 def _as_fraction_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
@@ -216,26 +216,38 @@ def _as_fraction_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
     return mat
 
 
-def _matrix_rank_int(rows) -> int:
-    mat = [list(r) for r in rows if any(r)]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank, col = 0, 0
-    while rank < len(mat) and col < ncols:
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+def _eliminate(rows) -> tuple[list[int], list[list[int]]]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of an integer matrix.
+
+    Returns the pivot columns and the reduced pivot rows.  Every division is
+    exact, because every entry is a minor of the input, and every pivot entry
+    ends equal to the last pivot, so a full-rank system [A | b] reads off as
+    x_i = row_i[n] / row_i[i].
+    """
+    mat = [list(r) for r in rows]
+    pivots: list[int] = []
+    prev = 1
+    for col in range(len(mat[0]) if mat else 0):
+        k = len(pivots)
+        piv = next((r for r in range(k, len(mat)) if mat[r][col]), None)
         if piv is None:
-            col += 1
             continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pk = mat[rank][col]
-        for r in range(rank + 1, len(mat)):
-            f = mat[r][col]
-            if f:
-                mat[r] = [pk * x - f * y for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-        col += 1
-    return rank
+        mat[k], mat[piv] = mat[piv], mat[k]
+        top = mat[k]
+        pk = top[col]
+        for r, row in enumerate(mat):
+            f = row[col]  # f == 0 only rescales the row, by pk / prev
+            if r != k and (f or pk != prev):
+                mat[r] = [(pk * x - f * y) // prev for x, y in zip(row, top)]
+        prev = pk
+        pivots.append(col)
+        if k + 1 == len(mat):
+            break
+    return pivots, mat[: len(pivots)]
+
+
+def _matrix_rank_int(rows) -> int:
+    return len(_eliminate(rows)[0])
 
 
 def matroid_from_rational_matrix(rows) -> SetMatroid:
@@ -276,7 +288,3 @@ def matroid_from_json(doc: dict) -> SetMatroid:
 
 def matrix_from_json(rows) -> tuple[tuple[Fraction, ...], ...]:
     return _as_fraction_rows(rows)
-
-
-def matrix_to_json(rows) -> list[list[str]]:
-    return [[str(Fraction(x)) for x in row] for row in rows]

@@ -1,8 +1,10 @@
 """Exact rational polytope kernel for the permutahedron and its subpolytopes.
 
-No floating point anywhere: coordinates are ints or Fractions, linear systems
-are solved by fraction-free (Bareiss) elimination over the integers with a
-rational back-substitution at the end.
+No floating point anywhere: coordinates are ints or Fractions.  Linear
+systems are solved by the integer fraction-free (Bareiss) Gauss-Jordan
+kernel ``matroid._eliminate`` as numerators over one common denominator;
+vertex enumeration tests feasibility on those integers and builds Fractions
+only for the vertices it returns.
 """
 
 from __future__ import annotations
@@ -11,10 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from .errors import DomainError
-from .matroid import _matrix_rank_int, is_quotient
+from .matroid import _eliminate, _matrix_rank_int, is_quotient
 from .perm import BruhatInterval, Perm, bruhat_interval, bruhat_leq, length, perm
 
 Point = tuple  # n exact rationals (ints or Fractions)
@@ -240,33 +242,16 @@ def is_bip(points) -> BruhatInterval | None:
 
 
 def _solve_square(rows, rhs, n):
-    """Unique rational solution of an n x n integer system, or None.
+    """Unique solution of an n x n integer system, or None when singular.
 
-    Bareiss fraction-free forward elimination, Fraction back-substitution.
+    Returns (numerators, positive denominator): x_i = numerators[i] / den.
     """
-    a = [list(rows[i]) + [rhs[i]] for i in range(n)]
-    prev = 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if a[r][k]), None)
-        if piv is None:
-            return None
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-        pk = a[k][k]
-        for r in range(k + 1, n):
-            ark = a[r][k]
-            row_r, row_k = a[r], a[k]
-            for c in range(k + 1, n + 1):
-                row_r[c] = (row_r[c] * pk - ark * row_k[c]) // prev
-            row_r[k] = 0
-        prev = pk
-    xs: list[Fraction] = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        s = Fraction(a[i][n])
-        for j in range(i + 1, n):
-            s -= a[i][j] * xs[j]
-        xs[i] = s / a[i][i]
-    return tuple(xs)
+    pivots, red = _eliminate([list(row) + [b] for row, b in zip(rows, rhs)])
+    if pivots != list(range(n)):
+        return None
+    den = red[0][0]
+    sign = 1 if den > 0 else -1
+    return tuple(sign * row[n] for row in red), sign * den
 
 
 def affine_rank(points) -> int:
@@ -308,7 +293,7 @@ def enumerate_vertices(constraints, n: int) -> VertexEnumeration:
     checks = []
     for c in cons:
         idx = tuple(i - 1 for i in sorted(c.support))
-        checks.append((idx, c.sense, c.level))
+        checks.append((idx, c.sense, c.level.numerator, c.level.denominator))
 
     # keep an independent subset of the equality rows so redundant copies of
     # the ambient equality cannot make every candidate system non-square
@@ -320,7 +305,7 @@ def enumerate_vertices(constraints, n: int) -> VertexEnumeration:
     eq_rows, eq_rhs = kept_rows, kept_rhs
 
     k = n - len(eq_rows)
-    found = {}
+    found = set()
     for chosen in combinations(range(len(ineqs)), k):
         supports = {ineqs[t][0].support for t in chosen}
         if len(supports) < k:
@@ -329,15 +314,14 @@ def enumerate_vertices(constraints, n: int) -> VertexEnumeration:
         rhs = eq_rhs + [ineqs[t][2] for t in chosen]
         if len(rows) != n:
             continue
-        x = _solve_square(rows, rhs, n)
-        if x is None:
+        solved = _solve_square(rows, rhs, n)
+        if solved is None:
             continue
-        den = lcm(*(f.denominator for f in x))
-        nums = [int(f * den) for f in x]
+        nums, den = solved
         ok = True
-        for idx, sense, level in checks:
-            lhs = sum(nums[i] for i in idx) * level.denominator
-            rhs_v = level.numerator * den
+        for idx, sense, num, level_den in checks:
+            lhs = sum(nums[i] for i in idx) * level_den
+            rhs_v = num * den
             if sense == ">=":
                 ok = lhs >= rhs_v
             elif sense == "<=":
@@ -347,9 +331,12 @@ def enumerate_vertices(constraints, n: int) -> VertexEnumeration:
             if not ok:
                 break
         if ok:
-            key = tuple(int(f) if f.denominator == 1 else f for f in x)
-            found.setdefault(key, key)
-    points = tuple(sorted(found, key=lambda p: tuple(Fraction(x) for x in p)))
+            g = gcd(den, *nums)
+            found.add((tuple(x // g for x in nums), den // g))
+    points = tuple(sorted(
+        tuple(x // den if x % den == 0 else Fraction(x, den) for x in nums)
+        for nums, den in found
+    ))
     if not points:
         return VertexEnumeration(points=(), diagnostic="empty-or-unbounded")
     return VertexEnumeration(points=points)

@@ -115,25 +115,34 @@ class SplitReport:
     reason: str | None = None
 
 
-def theorem_hyperplanes(n: int) -> tuple[SplitHyperplane, ...]:
-    """The full list of good-split hyperplanes, deduplicated.
+@lru_cache(maxsize=None)
+def _families(n: int) -> dict[SplitHyperplane, tuple[str, int, int]]:
+    """Every good-split hyperplane, labelled (family, arg, level).
 
-    The prefix families at j = 1 coincide with single-coordinate instances;
-    normalization plus set semantics removes the repeats.
+    Coordinates go in first, so the prefix families at j = 1, which coincide
+    with coordinate instances, keep the label "coordinate".
     """
-    if n < 3:
-        raise DomainError("need n >= 3")
-    out = set()
+    table = {}
+    for r in range(2, n):
+        for i in (1, n):
+            h = SplitHyperplane(n=n, support=frozenset({i}), level=r)
+            table[h] = ("coordinate", i, r)
     for j in range(1, n - 1):
         prefix = frozenset(range(1, j + 1))
-        low = comb(j + 1, 2) + 1
-        high = sum(range(n - j + 2, n + 1)) + (n - j)
-        out.add(SplitHyperplane(n=n, support=prefix, level=low))
-        out.add(SplitHyperplane(n=n, support=prefix, level=high))
-    for r in range(2, n):
-        out.add(SplitHyperplane(n=n, support=frozenset({1}), level=r))
-        out.add(SplitHyperplane(n=n, support=frozenset({n}), level=r))
-    return tuple(sorted(out, key=SplitHyperplane.sort_key))
+        for family, level in (
+            ("prefix-low", comb(j + 1, 2) + 1),
+            ("prefix-high", sum(range(n - j + 2, n + 1)) + (n - j)),
+        ):
+            h = SplitHyperplane(n=n, support=prefix, level=level)
+            table.setdefault(h, (family, j, level))
+    return table
+
+
+def theorem_hyperplanes(n: int) -> tuple[SplitHyperplane, ...]:
+    """The full list of good-split hyperplanes, deduplicated."""
+    if n < 3:
+        raise DomainError("need n >= 3")
+    return tuple(sorted(_families(n), key=SplitHyperplane.sort_key))
 
 
 def _split_verdict(n: int, support: frozenset[int], level) -> SplitReport:
@@ -191,24 +200,8 @@ def check_split(h: SplitHyperplane) -> SplitReport:
 
 
 def _classify(h: SplitHyperplane):
-    """Match h or its complement form against the three families."""
-    n = h.n
-    total = n * (n + 1) // 2
-    reps = [(h.support, h.level)]
-    comp = frozenset(range(1, n + 1)) - h.support
-    reps.append((comp, total - h.level))
-    for support, level in reps:
-        size = len(support)
-        if size == 1:
-            (i,) = support
-            if i in (1, n) and 2 <= level <= n - 1:
-                return ("coordinate", i, level)
-        if support == frozenset(range(1, size + 1)) and size <= n - 2:
-            if level == comb(size + 1, 2) + 1:
-                return ("prefix-low", size, level)
-            if level == sum(range(n - size + 2, n + 1)) + (n - size):
-                return ("prefix-high", size, level)
-    return None
+    """(family, arg, level) of h among the three families, or None."""
+    return _families(h.n).get(h)
 
 
 def predicted_cells(h: SplitHyperplane):

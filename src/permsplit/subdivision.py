@@ -34,6 +34,10 @@ from .splits import (
     hyperplane_to_json,
 )
 
+# largest n that build_poset accepts: n=4 takes seconds, while at n=5 the
+# subdivisions of the 45 pairs alone take about 3 minutes
+MAX_POSET_N = 4
+
 
 @dataclass(frozen=True)
 class SubdivisionCell:
@@ -185,6 +189,8 @@ def build_poset(n: int) -> SubdivisionPoset:
     vertex of any refining cell), which prunes the enumeration.  Acceptance
     still requires the interval check per subset.
     """
+    if n > MAX_POSET_N:
+        raise DomainError(f"build_poset needs n <= {MAX_POSET_N}, got n={n}")
     hyps = exhaustive_scan(n)
     rejected_minimal: list[frozenset[SplitHyperplane]] = []
     accepted: dict[frozenset, Subdivision] = {}

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from .errors import DomainError
 from .lpm import (
     LPFMFlag,
     elementary_quotient,
@@ -52,6 +53,10 @@ from .splits import (
     predicted_cells,
     theorem_hyperplanes,
 )
+
+# largest n that run_checks accepts: n=5 takes seconds, while at n=6 the
+# exact-kernel check alone enumerates C(62, 5) = 6.47M facet systems
+MAX_VERIFY_N = 5
 
 
 @dataclass(frozen=True)
@@ -469,6 +474,8 @@ def check_exact_kernel(n: int, seed: int = 0, dp_samples: int = 200) -> CheckRes
 
 def run_checks(n: int, seed: int = 0) -> list[CheckResult]:
     """Every check applicable at ground-set size n."""
+    if n > MAX_VERIFY_N:
+        raise DomainError(f"verify needs n <= {MAX_VERIFY_N}, got n={n}")
     results = [
         check_bruhat_oracle(n),
         check_interval_polytope_match(n, seed=seed),

@@ -142,6 +142,13 @@ def test_outputs_deterministic(capsys):
     a = run(capsys, "poset", "export", "-n", "3", "--format", "json")
     b = run(capsys, "poset", "export", "-n", "3", "--format", "json")
     assert a == b
+    # the parser is built once per process: a json call and a usage error in
+    # between must not change what the same table call prints
+    table = run(capsys, "bruhat", "interval", "1324", "3412")
+    assert table[0] == 0
+    assert run(capsys, "bruhat", "interval", "1324", "3412", "--format", "json")[0] == 0
+    assert run(capsys, "bruhat", "interval", "1324")[0] == 2
+    assert run(capsys, "bruhat", "interval", "1324", "3412") == table
 
 
 def test_verify_n3(capsys):
@@ -161,6 +168,10 @@ def test_size_limits_exit_code(capsys):
     assert code == 1 and not out and "n <= 7" in err
     code, out, err = run(capsys, "bruhat", "interval", "123456789", "987654321")
     assert code == 1 and not out and "n <= 8" in err
+    code, out, err = run(capsys, "poset", "build", "-n", "5")
+    assert code == 1 and not out and "n <= 4" in err
+    code, out, err = run(capsys, "verify", "-n", "6")
+    assert code == 1 and not out and "n <= 5" in err
 
 
 def test_malformed_json_exit_code(capsys):

@@ -24,9 +24,11 @@ from permsplit import (
     to_set_matroid,
     uniform_matroid,
 )
+from permsplit.matroid import _eliminate
 from permsplit.polytope import (
     BruhatInterval,
     _matrix_rank_int,
+    _solve_square,
     affine_rank,
     constraint_from_json,
     constraint_to_json,
@@ -253,6 +255,66 @@ def test_affine_rank():
     assert affine_rank([(1, 2, 3)]) == 0
     assert affine_rank([(1, 2, 3), (2, 1, 3)]) == 1
     assert affine_rank([tuple(p) for p in permutahedron_vertices(4)]) == 3
+
+
+def _fraction_rref(rows):
+    # slow reference: Gauss-Jordan over the rationals, pivots scaled to 1
+    mat = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0])):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        mat[rank] = [x / mat[rank][col] for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                f = mat[r][col]
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+    return mat[:rank]
+
+
+def _random_matrix(rng, nrows, ncols):
+    entries = (0, 0, 0, 1, -1, 2, -3, 5)
+    rows = [[rng.choice(entries) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 1 and rng.random() < 0.4:  # make one row a combination of the others
+        b = rng.randrange(nrows)
+        coeffs = [rng.randint(-2, 2) for _ in range(nrows)]
+        rows[b] = [
+            sum(c * row[col] for t, (c, row) in enumerate(zip(coeffs, rows)) if t != b)
+            for col in range(ncols)
+        ]
+    return rows
+
+
+def test_integer_kernel_matches_fraction_reference():
+    rng = random.Random(20240611)
+    singular = solved = 0
+    for _ in range(3000):
+        rows = _random_matrix(rng, rng.randint(1, 7), rng.randint(1, 8))
+        ref = _fraction_rref(rows)
+        pivots, red = _eliminate(rows)
+        assert _matrix_rank_int(rows) == len(pivots) == len(ref)
+        # equal pivots, and exact division: scaling each row by its pivot
+        # gives the rational reduced row echelon form
+        assert len({row[col] for row, col in zip(red, pivots)}) <= 1
+        assert [[Fraction(x, row[col]) for x in row] for row, col in zip(red, pivots)] == ref
+
+        n = min(len(rows), len(rows[0]))
+        a = [row[:n] for row in rows[:n]]
+        b = [rng.randint(-5, 5) for _ in range(n)]
+        got = _solve_square(a, b, n)
+        if len(_fraction_rref(a)) < n:
+            assert got is None
+            singular += 1
+            continue
+        nums, den = got
+        assert den > 0
+        for row, rhs in zip(a, b):
+            assert sum(x * y for x, y in zip(row, nums)) == rhs * den
+        solved += 1
+    assert singular > 300 and solved > 300
 
 
 def test_point_and_constraint_json():
