@@ -273,8 +273,10 @@ def enumerate_vertices(constraints, n: int) -> VertexEnumeration:
 
     Every equality is always tight; candidate vertices come from making
     (n - rank of equalities) inequalities tight and solving exactly.
-    Singular selections are skipped; solutions violating any constraint are
-    dropped; the surviving points are deduplicated and sorted.
+    Singular selections are skipped, some without solving (a support chosen
+    twice, or with its complement under the ambient equality); solutions
+    violating any constraint are dropped; the surviving points are
+    deduplicated and sorted.
     """
     cons = list(constraints)
     eq_rows, eq_rhs = [], []
@@ -304,16 +306,18 @@ def enumerate_vertices(constraints, n: int) -> VertexEnumeration:
             kept_rhs.append(rhs)
     eq_rows, eq_rhs = kept_rows, kept_rhs
 
+    full = frozenset(range(1, n + 1))
+    ambient = any(c.sense == "=" and c.support == full for c in cons)
     k = n - len(eq_rows)
     found = set()
     for chosen in combinations(range(len(ineqs)), k):
         supports = {ineqs[t][0].support for t in chosen}
         if len(supports) < k:
             continue  # same support twice can never be simultaneously tight
+        if ambient and any(full - s in supports for s in supports):
+            continue  # the ambient row is a combination of the rows of S and [n] - S
         rows = eq_rows + [ineqs[t][1] for t in chosen]
         rhs = eq_rhs + [ineqs[t][2] for t in chosen]
-        if len(rows) != n:
-            continue
         solved = _solve_square(rows, rhs, n)
         if solved is None:
             continue

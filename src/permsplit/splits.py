@@ -6,10 +6,11 @@ Three families of level sets of facet normals produce good splits:
 * high prefix sums  x_1 + ... + x_j = n + ... + (n-j+2) + (n-j)
 * single coordinates x_1 = r and x_n = r                     (2 <= r <= n-1)
 
-``check_split`` verifies a candidate geometrically; ``predicted_cells`` gives
-the closed-form interval pair for recognized family members;
-``exhaustive_scan`` sweeps every support and level and must recover exactly
-the families above.
+``check_split`` verifies a candidate geometrically: one sweep over the
+2-faces of Π_n gives the verdict, and only a good split has its two cells
+built.  ``predicted_cells`` gives the closed-form interval pair for
+recognized family members.  ``exhaustive_scan`` reads the same sweep once per
+support for every integer level and must recover exactly the families above.
 
 Within the ambient hyperplane sum(x) = n(n+1)/2, the supports S and [n]-S
 with complementary levels describe the same hyperplane; SplitHyperplane
@@ -20,21 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import comb
 from operator import itemgetter
 
 from .errors import DomainError
 from .lpm import flag_of_interval
-from .perm import (
-    BruhatInterval,
-    Perm,
-    dual_interval,
-    identity,
-    longest,
-    set_sequences,
-)
-from .polytope import Face2D, faces_2d, is_bip, permutahedron_edges, permutahedron_vertices
+from .perm import BruhatInterval, dual_interval, identity, longest, set_sequences
+from .polytope import Face2D, faces_2d, is_bip, permutahedron_vertices
 
 # largest n that exhaustive_scan accepts: n=7 takes seconds, n=8 has 11x its 2-faces
 MAX_SCAN_N = 7
@@ -145,39 +139,81 @@ def theorem_hyperplanes(n: int) -> tuple[SplitHyperplane, ...]:
     return tuple(sorted(_families(n), key=SplitHyperplane.sort_key))
 
 
-def _split_verdict(n: int, support: frozenset[int], level) -> SplitReport:
+@lru_cache(maxsize=None)
+def _sweep_tables(n: int):
+    """Π_n by vertex index: value columns, and each square and hexagon as its
+    index in ``faces_2d`` with a getter that reads the face's values from a
+    list in vertex order; a hexagon's getter yields its ``lo`` and ``hi``
+    values first."""
     perms = permutahedron_vertices(n)
-    vals = {p: sum(p[i - 1] for i in support) for p in perms}
-
-    below = [p for p in perms if vals[p] < level]
-    above = [p for p in perms if vals[p] > level]
-    if not below or not above:
-        return SplitReport(verdict="not-a-split", reason="a strict side is empty")
-
-    for edge in permutahedron_edges(n):
-        p, q = tuple(edge)
-        if (vals[p] - level) * (vals[q] - level) < 0:
-            return SplitReport(
-                verdict="not-a-split",
-                reason=f"edge {p}-{q} crosses the hyperplane strictly",
-            )
-
-    split_hexagons = []
-    for face in faces_2d(n):
-        fvals = [vals[v] for v in face.vertices]
-        cut = any(v < level for v in fvals) and any(v > level for v in fvals)
-        if not cut:
-            continue
+    index = {p: k for k, p in enumerate(perms)}
+    squares, hexagons = [], []
+    for k, face in enumerate(faces_2d(n)):
+        verts = [index[p] for p in face.vertices]
         if face.shape == "square":
-            return SplitReport(verdict="bad-square", offending_face=face)
-        split_hexagons.append(face)
-    for face in split_hexagons:
-        if (vals[face.lo] - level) * (vals[face.hi] - level) >= 0:
-            return SplitReport(verdict="bad-hexagon", offending_face=face)
+            squares.append((k, itemgetter(*verts)))
+        else:
+            hexagons.append((k, itemgetter(index[face.lo], index[face.hi], *verts)))
+    return tuple(zip(*perms)), tuple(squares), tuple(hexagons)
 
-    on = [p for p in perms if vals[p] == level]
-    side_a = is_bip(below + on)
-    side_b = is_bip(above + on)
+
+def _values(n: int, support) -> list[int]:
+    """x_S at every vertex of Π_n, in ``permutahedron_vertices`` order."""
+    columns = _sweep_tables(n)[0]
+    return list(map(sum, zip(*(columns[i - 1] for i in support))))
+
+
+def _face_cuts(n: int, support):
+    """(level, verdict, index in ``faces_2d``) for each 2-face forbidding a level.
+
+    A square forbids the levels that cut it strictly, a hexagon those of
+    them that leave its ``lo`` and ``hi`` not strictly on opposite sides.
+    Squares come first, then hexagons, each in ``faces_2d`` order.  No edge
+    needs a test: it moves x_S by 0 or 1, so it cuts no integer level.
+    """
+    _, squares, hexagons = _sweep_tables(n)
+    vals = _values(n, support)
+    for k, get in squares:
+        fv = get(vals)
+        for t in range(min(fv) + 1, max(fv)):
+            yield t, "bad-square", k
+    for k, get in hexagons:
+        fv = get(vals)
+        for t in range(min(fv) + 1, max(fv)):
+            if (fv[0] - t) * (fv[1] - t) >= 0:
+                yield t, "bad-hexagon", k
+
+
+def _verdict(n: int, support, level: int) -> tuple[str, int | None]:
+    """Verdict of x_S = level, with the first offending face's index."""
+    lo, hi = _support_bounds(n, len(support))
+    if not lo < level < hi:
+        return "not-a-split", None
+    cuts = ((v, k) for t, v, k in _face_cuts(n, support) if t == level)
+    return next(cuts, ("good-split", None))
+
+
+def _require_good(h: SplitHyperplane) -> None:
+    verdict, _ = _verdict(h.n, h.support, h.level)
+    if verdict != "good-split":
+        raise DomainError(f"{h} is not a good split (verdict {verdict})")
+
+
+def check_split(h: SplitHyperplane) -> SplitReport:
+    """Classify the split induced by h; all failures are verdicts.
+
+    Cells are built for a good split only; the face conditions make each
+    closed side a Bruhat interval.
+    """
+    n, level = h.n, h.level
+    verdict, k = _verdict(n, h.support, level)
+    if verdict == "not-a-split":
+        return SplitReport(verdict=verdict, reason="a strict side is empty")
+    if verdict != "good-split":
+        return SplitReport(verdict=verdict, offending_face=faces_2d(n)[k])
+    pairs = list(zip(permutahedron_vertices(n), _values(n, h.support)))
+    side_a = is_bip([p for p, v in pairs if v <= level])
+    side_b = is_bip([p for p, v in pairs if v >= level])
     if side_a is None or side_b is None:
         # the 2-face conditions characterize interval sides; this is unreachable
         raise RuntimeError(
@@ -192,11 +228,6 @@ def _split_verdict(n: int, support: frozenset[int], level) -> SplitReport:
     return SplitReport(
         verdict="good-split", cells=(e_cell, w_cell), lpfm=(lpfm_e, lpfm_w)
     )
-
-
-def check_split(h: SplitHyperplane) -> SplitReport:
-    """Classify the split induced by h; all failures are verdicts."""
-    return _split_verdict(h.n, h.support, h.level)
 
 
 def _classify(h: SplitHyperplane):
@@ -252,85 +283,33 @@ def dual_hyperplane(h: SplitHyperplane) -> SplitHyperplane:
     x_S = |S|(n+1) - a, so duality keeps the support and complements the
     level.  Only defined for good splits.
     """
-    report = check_split(h)
-    if report.verdict != "good-split":
-        raise DomainError(f"{h} is not a good split (verdict {report.verdict})")
+    _require_good(h)
     return SplitHyperplane(
         n=h.n, support=h.support, level=len(h.support) * (h.n + 1) - h.level
     )
 
 
-@lru_cache(maxsize=None)
-def _sweep_tables(n: int):
-    """Π_n by vertex index: value columns, edges as index pairs, and a getter
-    per square and hexagon that reads the face's values from a list in vertex
-    order; a hexagon's getter yields its ``lo`` and ``hi`` values first."""
-    perms = permutahedron_vertices(n)
-    index = {p: k for k, p in enumerate(perms)}
-    edges = tuple(tuple(index[p] for p in e) for e in permutahedron_edges(n))
-    squares, hexagons = [], []
-    for face in faces_2d(n):
-        verts = [index[p] for p in face.vertices]
-        if face.shape == "square":
-            squares.append(itemgetter(*verts))
-        else:
-            hexagons.append(itemgetter(index[face.lo], index[face.hi], *verts))
-    return tuple(zip(*perms)), edges, tuple(squares), tuple(hexagons)
-
-
 def _open_levels(n: int, support) -> list[int]:
-    """Doubled levels strictly inside the range of x_S that no face forbids.
-
-    One pass over 2x_S marks forbidden levels in a difference array: an edge
-    or a square forbids the open range of its values, a hexagon the part of
-    it where ``lo`` and ``hi`` are not strictly on opposite sides.
-    """
-    columns, edges, squares, hexagons = _sweep_tables(n)
-    vals = [2 * v for v in map(sum, zip(*(columns[i - 1] for i in support)))]
+    """Levels strictly inside the range of x_S that no 2-face forbids."""
     lo, hi = _support_bounds(n, len(support))
-    diff = [0] * (2 * hi + 1)
-    for a, b in edges:  # values 2 apart at most: only the half level between
-        if vals[a] != vals[b]:
-            mid = (vals[a] + vals[b]) // 2
-            diff[mid] += 1
-            diff[mid + 1] -= 1
-    for get in squares:
-        fv = get(vals)
-        low, top = min(fv), max(fv)
-        if low < top:
-            diff[low + 1] += 1
-            diff[top] -= 1
-    for get in hexagons:
-        fv = get(vals)
-        low, top = min(fv), max(fv)
-        x, y = sorted(fv[:2])
-        if low < x:  # levels low+1 .. x leave lo and hi on one side
-            diff[low + 1] += 1
-            diff[x + 1] -= 1
-        if y < top:  # and so do levels y .. top-1
-            diff[y] += 1
-            diff[top] -= 1
-    counts = list(accumulate(diff))
-    return [t for t in range(2 * lo + 1, 2 * hi) if not counts[t]]
+    forbidden = {t for t, _, _ in _face_cuts(n, support)}
+    return [t for t in range(lo + 1, hi) if t not in forbidden]
 
 
-def exhaustive_scan(n: int, include_half_levels: bool = False) -> tuple[SplitHyperplane, ...]:
+def exhaustive_scan(n: int) -> tuple[SplitHyperplane, ...]:
     """Every (support, level) whose verdict is good-split, canonically sorted.
 
-    A verdict-only sweep in integers: it tests the same edges and 2-faces as
-    ``check_split`` but builds no cells.  Integer levels suffice: the middle
-    cell of a split contains permutation vertices, which pins x_S to an
-    integer.  ``include_half_levels`` checks that claim directly and raises
-    if a half-integer level passes every face test.
+    The same 2-face tests as ``check_split``, swept once per support over
+    every integer level, building no cells.  Integer levels suffice: the
+    middle cell of a split contains permutation vertices, which pins x_S to
+    an integer, and every half-integer level is cut by an edge.
     """
     if not 3 <= n <= MAX_SCAN_N:
         raise DomainError(f"exhaustive_scan needs 3 <= n <= {MAX_SCAN_N}, got n={n}")
-    good = []
-    for size in range(1, n):
-        for s in combinations(range(1, n + 1), size):
-            for t in _open_levels(n, s):
-                if t % 2 == 0:
-                    good.append(SplitHyperplane(n=n, support=frozenset(s), level=t // 2))
-                elif include_half_levels:
-                    raise RuntimeError(f"non-integer level {t}/2 on {s} gave a good split")
+    good = [
+        SplitHyperplane(n=n, support=frozenset(s), level=t)
+        for size in range(1, n)
+        for s in combinations(range(1, n + 1), size)
+        for t in _open_levels(n, s)
+    ]
     return tuple(sorted(set(good), key=SplitHyperplane.sort_key))

@@ -3,7 +3,8 @@
 A set of individually-good hyperplanes is accepted when cutting by all of
 them at once creates no vertices beyond the permutations and every maximal
 cell is a Bruhat interval polytope.  Accepted subdivisions are ordered by
-refinement; single hyperplanes are the minimal (coarsest) elements.
+refinement, which for them is inclusion of hyperplane sets (proved in
+``build_poset``); single hyperplanes are the minimal (coarsest) elements.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .polytope import (
 )
 from .splits import (
     SplitHyperplane,
-    check_split,
+    _require_good,
     exhaustive_scan,
     hyperplane_text,
     hyperplane_to_json,
@@ -56,9 +57,6 @@ class Subdivision:
     n: int
     hyperplanes: tuple[SplitHyperplane, ...]
     cells: tuple[SubdivisionCell, ...]
-
-    def cell_point_sets(self) -> frozenset[frozenset[Perm]]:
-        return frozenset(frozenset(c.points()) for c in self.cells)
 
 
 @dataclass(frozen=True)
@@ -99,13 +97,10 @@ def subdivision_from_hyperplanes(n: int, hs):
     if any(h.n != n for h in hyps):
         raise DomainError("hyperplane ground-set size differs from n")
     for h in hyps:
-        report = check_split(h)
-        if report.verdict != "good-split":
-            raise DomainError(f"{h} is not a good split (verdict {report.verdict})")
+        _require_good(h)
 
     facets = permutahedron_facets(n)
     cells = []
-    seen_point_sets = {}
     for bits in range(2 ** len(hyps)):
         signs = "".join("+" if bits & (1 << t) else "-" for t in range(len(hyps)))
         if not _sign_feasible(hyps, signs):
@@ -134,11 +129,7 @@ def subdivision_from_hyperplanes(n: int, hs):
                 n=n, hyperplanes=hyps, reason="non-bip-cell", signs=signs,
                 witness=members,
             )
-        key = frozenset(members)
-        if key in seen_point_sets:
-            continue
         _, lpfm_ok = flag_of_interval(interval)
-        seen_point_sets[key] = True
         cells.append(SubdivisionCell(signs=signs, interval=interval, lpfm=lpfm_ok))
 
     covered = set().union(*(frozenset(c.points()) for c in cells))
@@ -188,12 +179,24 @@ def build_poset(n: int) -> SubdivisionPoset:
     New-vertex rejections propagate to supersets (a coarse cell's vertex is a
     vertex of any refining cell), which prunes the enumeration.  Acceptance
     still requires the interval check per subset.
+
+    The order is read off the hyperplane sets: an accepted A refines an
+    accepted B exactly when hyps(B) is a subset of hyps(A).  If it is, each
+    cell of A lies on one side of every hyperplane of B, so inside one cell
+    of B.  If not, take h in hyps(B) - hyps(A).  h meets the interior of Π_n
+    in an (n-2)-dimensional set, and the hyperplanes of A, all distinct from
+    h, meet h in lower dimension; so some point p of h inside Π_n lies on no
+    hyperplane of A.  The cell of A around p has points strictly on both
+    sides of h, and no cell of B does, so no cell of B contains it (a cell is
+    the hull of its permutations, so this holds for the permutation sets
+    ``refines`` compares as well).  In particular distinct accepted sets
+    never give the same cells.
     """
     if n > MAX_POSET_N:
         raise DomainError(f"build_poset needs n <= {MAX_POSET_N}, got n={n}")
     hyps = exhaustive_scan(n)
     rejected_minimal: list[frozenset[SplitHyperplane]] = []
-    accepted: dict[frozenset, Subdivision] = {}
+    accepted: list[Subdivision] = []
     for size in range(1, len(hyps) + 1):
         for combo in combinations(hyps, size):
             hset = frozenset(combo)
@@ -204,27 +207,16 @@ def build_poset(n: int) -> SubdivisionPoset:
                 if result.reason == "new-vertex":
                     rejected_minimal.append(hset)
                 continue
-            key = result.cell_point_sets()
-            if key not in accepted:
-                accepted[key] = result
+            accepted.append(result)
 
     elements = tuple(
         sorted(
-            accepted.values(),
+            accepted,
             key=lambda s: (len(s.hyperplanes), [h.sort_key() for h in s.hyperplanes]),
         )
     )
-    leq = set()
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            if refines(b, a):
-                leq.add((i, j))
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            if set(a.hyperplanes) <= set(b.hyperplanes) and (i, j) not in leq:
-                raise RuntimeError(
-                    "hyperplane-subset inclusion disagrees with geometric refinement"
-                )
+    sets = [frozenset(s.hyperplanes) for s in elements]
+    leq = {(i, j) for i, a in enumerate(sets) for j, b in enumerate(sets) if a <= b}
     strict = {(i, j) for i, j in leq if i != j}
     covers = tuple(
         sorted(

@@ -243,6 +243,18 @@ def test_enumerate_vertices_fractional_cut():
     assert (1, Fraction(7, 2), 2, Fraction(7, 2)) in enum.points
 
 
+def test_enumerate_vertices_box_without_ambient_equality():
+    # with no ambient equality, x1 and x2 are complementary supports in [2]
+    # whose tight pairs are the corners, so they must be solved, not skipped
+    box = [
+        LinearConstraint(frozenset({i}), sense, Fraction(level))
+        for i in (1, 2)
+        for sense, level in ((">=", 0), ("<=", 1))
+    ]
+    enum = enumerate_vertices(box, 2)
+    assert enum.points == ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 def test_enumerate_vertices_empty_system():
     cons = list(permutahedron_facets(3)) + [
         LinearConstraint(frozenset({1}), ">=", Fraction(99))

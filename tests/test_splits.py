@@ -1,7 +1,8 @@
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permsplit import (
     BruhatInterval,
@@ -11,16 +12,18 @@ from permsplit import (
     dual_hyperplane,
     dual_interval,
     exhaustive_scan,
+    faces_2d,
     identity,
     longest,
+    permutahedron_edges,
     predicted_cells,
     theorem_hyperplanes,
 )
 from permsplit.splits import (
     MAX_SCAN_N,
     _open_levels,
-    _split_verdict,
     _support_bounds,
+    _verdict,
     hyperplane_from_json,
     hyperplane_text,
     hyperplane_to_json,
@@ -155,10 +158,22 @@ def test_exhaustive_scan():
         assert set(exhaustive_scan(n)) == set(theorem_hyperplanes(n))
 
 
-def test_exhaustive_scan_half_levels_add_nothing():
-    for n in (3, 4):
-        wide = exhaustive_scan(n, include_half_levels=True)
-        assert set(wide) == set(theorem_hyperplanes(n))
+def test_edges_cut_exactly_the_half_levels():
+    # why the sweeps test no edges and no half-integer levels: an edge moves
+    # x_S by 0 or 1, so it cuts no integer level strictly, and every
+    # half-integer level inside the range is cut strictly by some edge
+    for n in (3, 4, 5):
+        edges = [tuple(e) for e in permutahedron_edges(n)]
+        for size in range(1, n):
+            for s in combinations(range(1, n + 1), size):
+                lo, hi = _support_bounds(n, size)
+                doubled = set()
+                for p, q in edges:
+                    a, b = (sum(v[i - 1] for i in s) for v in (p, q))
+                    assert abs(a - b) <= 1, (n, s, p, q)
+                    if a != b:
+                        doubled.add(a + b)
+                assert doubled == set(range(2 * lo + 1, 2 * hi, 2)), (n, s)
 
 
 def test_exhaustive_scan_size_limit():
@@ -169,19 +184,63 @@ def test_exhaustive_scan_size_limit():
 
 
 def test_open_levels_match_check_split():
-    # the sweep's good levels, half-levels included, against one verdict per level
+    # the sweep's good levels against one verdict per integer level
     for n in (3, 4, 5):
         for size in range(1, n):
             for s in combinations(range(1, n + 1), size):
                 lo, hi = _support_bounds(n, size)
                 slow = [
-                    t for t in range(2 * lo + 1, 2 * hi)
-                    if _split_verdict(n, frozenset(s), Fraction(t, 2)).verdict == "good-split"
+                    t for t in range(lo + 1, hi)
+                    if _verdict(n, frozenset(s), t)[0] == "good-split"
                 ]
                 assert _open_levels(n, s) == slow, (n, s)
-                for t in range(2 * lo + 2, 2 * hi, 2):
-                    report = check_split(H(n, s, t // 2))
+                for t in range(lo, hi + 1):
+                    report = check_split(H(n, s, t))
                     assert (report.verdict == "good-split") == (t in slow), (n, s, t)
+
+
+@st.composite
+def candidate_hyperplanes(draw):
+    n = draw(st.integers(3, 6))
+    size = draw(st.integers(1, n - 1))
+    support = draw(st.sets(st.integers(1, n), min_size=size, max_size=size))
+    lo, hi = _support_bounds(n, size)
+    return H(n, support, draw(st.integers(lo, hi)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(candidate_hyperplanes())
+def test_check_split_against_independent_oracles(h):
+    # oracles that never read the sweep tables: the faces' own vertex tuples,
+    # and the closed-form families and cells
+    n, level = h.n, h.level
+
+    def x(v):
+        return sum(v[i - 1] for i in h.support)
+
+    def cut(face):
+        values = [x(v) for v in face.vertices]
+        return min(values) < level < max(values)
+
+    # bad squares first, then hexagons whose lo and hi are not strictly on
+    # opposite sides, each in faces_2d order
+    bad = [f for f in faces_2d(n) if cut(f) and f.shape == "square"] + [
+        f for f in faces_2d(n)
+        if cut(f) and f.shape == "hexagon" and (x(f.lo) - level) * (x(f.hi) - level) >= 0
+    ]
+    lo, hi = _support_bounds(n, len(h.support))
+    if bad:
+        expected = "bad-" + bad[0].shape
+    elif level in (lo, hi):
+        expected = "not-a-split"
+    else:
+        expected = "good-split"
+    report = check_split(h)
+    assert report.verdict == expected
+    assert report.offending_face == (bad[0] if bad else None)
+    assert (expected == "good-split") == (h in theorem_hyperplanes(n))
+    if expected == "good-split":
+        assert report.cells == predicted_cells(h)
 
 
 def test_json_round_trip():

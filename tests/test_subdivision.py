@@ -144,6 +144,13 @@ def test_build_poset_l4_monotone_acceptance():
         for h in e.hyperplanes:
             coarser = keyed[frozenset({h})]
             assert refines(e, coarser)
+    # the poset's order, read off hyperplane sets, is geometric refinement
+    for n in (3, 4):
+        poset = build_poset(n)
+        for i, a in enumerate(poset.elements):
+            for j, b in enumerate(poset.elements):
+                inclusion = set(a.hyperplanes) <= set(b.hyperplanes)
+                assert refines(b, a) == inclusion == ((i, j) in poset.leq), (n, i, j)
 
 
 def test_l3_poset_matches_fixture():
