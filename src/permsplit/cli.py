@@ -136,11 +136,10 @@ def _cmd_bruhat(args) -> int:
         _emit({"leq": res}, [("leq", str(res).lower())], fmt)
     elif args.action == "interval":
         u, v = perm_from_str(args.perms[0]), perm_from_str(args.perms[1])
-        members = bruhat_interval(u, v)
+        members = [perm_to_str(p) for p in bruhat_interval(u, v)]
         _emit(
-            {"lo": perm_to_str(u), "hi": perm_to_str(v),
-             "members": [perm_to_str(p) for p in members]},
-            [perm_to_str(p) for p in members],
+            {"lo": perm_to_str(u), "hi": perm_to_str(v), "members": members},
+            members,
             fmt,
         )
     else:  # dual

@@ -231,8 +231,11 @@ def flag_of_interval(iv: BruhatInterval):
     True iff every family is a matroid recognized by :func:`is_lpm` and every
     consecutive pair is a quotient.
     """
-    members = bruhat_interval(iv.lo, iv.hi)
-    n = iv.n
+    return _flag_of_members(iv.n, bruhat_interval(iv.lo, iv.hi))
+
+
+def _flag_of_members(n: int, members):
+    """flag_of_interval on an interval's member tuple."""
     families = []
     for i in range(1, n + 1):
         fam = frozenset(

@@ -229,13 +229,21 @@ def is_bip(points) -> BruhatInterval | None:
     reproduces the set exactly; a second point of that length would lie
     outside it.  Every point must be a permutation.
     """
+    found = _interval_members(points)
+    return None if found is None else found[0]
+
+
+def _interval_members(points):
+    """(interval, its members) when the points form one, else None; see is_bip."""
     pts = {perm(p) for p in points}
     if not pts:
         return None
-    lo, hi = min(pts, key=length), max(pts, key=length)
-    if not bruhat_leq(lo, hi) or set(bruhat_interval(lo, hi)) != pts:
+    ranked = [(length(p), p) for p in pts]
+    (_, lo), (_, hi) = min(ranked), max(ranked)
+    members = bruhat_interval(lo, hi) if bruhat_leq(lo, hi) else ()
+    if set(members) != pts:
         return None
-    return BruhatInterval(lo, hi)
+    return BruhatInterval(lo, hi), members
 
 
 # --- exact vertex enumeration ------------------------------------------------

@@ -26,9 +26,9 @@ from math import comb
 from operator import itemgetter
 
 from .errors import DomainError
-from .lpm import flag_of_interval
+from .lpm import _flag_of_members
 from .perm import BruhatInterval, dual_interval, identity, longest, set_sequences
-from .polytope import Face2D, faces_2d, is_bip, permutahedron_vertices
+from .polytope import Face2D, _interval_members, faces_2d, permutahedron_vertices
 
 # largest n that exhaustive_scan accepts: n=7 takes seconds, n=8 has 11x its 2-faces
 MAX_SCAN_N = 7
@@ -212,19 +212,21 @@ def check_split(h: SplitHyperplane) -> SplitReport:
     if verdict != "good-split":
         return SplitReport(verdict=verdict, offending_face=faces_2d(n)[k])
     pairs = list(zip(permutahedron_vertices(n), _values(n, h.support)))
-    side_a = is_bip([p for p, v in pairs if v <= level])
-    side_b = is_bip([p for p, v in pairs if v >= level])
+    side_a = _interval_members([p for p, v in pairs if v <= level])
+    side_b = _interval_members([p for p, v in pairs if v >= level])
     if side_a is None or side_b is None:
         # the 2-face conditions characterize interval sides; this is unreachable
         raise RuntimeError(
             f"face conditions passed but a side of x_S={level} is not an interval"
         )
     e = identity(n)
-    e_cell, w_cell = (side_a, side_b) if side_a.lo == e else (side_b, side_a)
+    (e_cell, e_members), (w_cell, w_members) = (
+        (side_a, side_b) if side_a[0].lo == e else (side_b, side_a)
+    )
     if e_cell.lo != e or w_cell.hi != longest(n):
         raise RuntimeError("split cells are not anchored at the identity and top")
-    _, lpfm_e = flag_of_interval(e_cell)
-    _, lpfm_w = flag_of_interval(w_cell)
+    _, lpfm_e = _flag_of_members(n, e_members)
+    _, lpfm_w = _flag_of_members(n, w_members)
     return SplitReport(
         verdict="good-split", cells=(e_cell, w_cell), lpfm=(lpfm_e, lpfm_w)
     )
@@ -306,10 +308,12 @@ def exhaustive_scan(n: int) -> tuple[SplitHyperplane, ...]:
     """
     if not 3 <= n <= MAX_SCAN_N:
         raise DomainError(f"exhaustive_scan needs 3 <= n <= {MAX_SCAN_N}, got n={n}")
+    # only the supports SplitHyperplane keeps; [n] - S gives the same hyperplanes
     good = [
         SplitHyperplane(n=n, support=frozenset(s), level=t)
-        for size in range(1, n)
+        for size in range(1, n // 2 + 1)
         for s in combinations(range(1, n + 1), size)
+        if 2 * size < n or s[0] == 1
         for t in _open_levels(n, s)
     ]
-    return tuple(sorted(set(good), key=SplitHyperplane.sort_key))
+    return tuple(sorted(good, key=SplitHyperplane.sort_key))

@@ -29,6 +29,7 @@ from .matroid import SetMatroid, is_quotient, matroid_from_rational_matrix
 from .perm import (
     BruhatInterval,
     bruhat_covers,
+    bruhat_interval,
     bruhat_leq,
     dual_interval,
     identity,
@@ -205,6 +206,22 @@ def check_bruhat_oracle(n: int) -> CheckResult:
         bad == 0,
         f"{len(perms) ** 2} ordered pairs compared, {bad} disagreements",
     )
+
+
+def check_interval_oracle(n: int, seed: int = 0) -> CheckResult:
+    """Each interval must equal the one read off cover-digraph reachability."""
+    reach = cover_reachability(n)
+    pairs = [(u, v) for u in sorted(reach) for v in sorted(reach[u])]
+    if n <= 4:
+        mode = f"exhaustive ({len(pairs)} comparable pairs)"
+    else:
+        pairs = random.Random(seed).sample(pairs, 200)
+        mode = "200 sampled comparable pairs"
+    bad = sum(
+        bruhat_interval(u, v) != tuple(sorted(z for z in reach[u] if v in reach[z]))
+        for u, v in pairs
+    )
+    return _result(f"interval-oracle[n={n}]", bad == 0, f"{mode}, {bad} mismatches")
 
 
 def check_interval_polytope_match(n: int, seed: int = 0, samples: int = 200) -> CheckResult:
@@ -478,6 +495,7 @@ def run_checks(n: int, seed: int = 0) -> list[CheckResult]:
         raise DomainError(f"verify needs n <= {MAX_VERIFY_N}, got n={n}")
     results = [
         check_bruhat_oracle(n),
+        check_interval_oracle(n, seed=seed),
         check_interval_polytope_match(n, seed=seed),
         check_theorem_hyperplanes(n),
         check_classification(n),

@@ -1,8 +1,11 @@
 import doctest
 import importlib
+import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permsplit import (
     BruhatInterval,
@@ -92,6 +95,61 @@ def test_interval():
     assert len(bruhat_interval((1, 3, 2, 4), (3, 4, 1, 2))) == 10
     with pytest.raises(DomainError):
         bruhat_interval((3, 4, 1, 2), (1, 3, 2, 4))
+    with pytest.raises(DomainError, match="mismatched sizes"):
+        bruhat_interval((1, 2, 3), (2, 1))
+
+
+def filter_interval(u, v):
+    # the reference: every permutation of [n] tested against both ends
+    n = len(u)
+    return tuple(
+        z for z in permutations(range(1, n + 1)) if bruhat_leq(u, z) and bruhat_leq(z, v)
+    )
+
+
+def test_interval_matches_filter_exhaustively():
+    # filter_interval with the order tabulated once, on every comparable pair
+    for n in range(1, 6):
+        perms = list(permutations(range(1, n + 1)))
+        above = {u: {v for v in perms if bruhat_leq(u, v)} for u in perms}
+        for u in perms:
+            for v in above[u]:
+                expected = tuple(z for z in perms if z in above[u] and v in above[z])
+                assert bruhat_interval(u, v) == expected, (u, v)
+
+
+def test_interval_matches_filter_sampled():
+    rng = random.Random(20240801)
+    for n, count in ((6, 12), (7, 5), (8, 2)):
+        pairs = []
+        while len(pairs) < count:
+            u, v = (tuple(rng.sample(range(1, n + 1), n)) for _ in range(2))
+            if bruhat_leq(v, u):
+                u, v = v, u
+            if bruhat_leq(u, v):
+                pairs.append((u, v))
+        e, w = identity(n), longest(n)
+        single = pairs[0][1]
+        for u, v in pairs + [(e, w), (e, e), (w, w), (single, single)]:
+            assert bruhat_interval(u, v) == filter_interval(u, v), (u, v)
+
+
+@st.composite
+def ordered_pairs(draw):
+    n = draw(st.integers(1, 6))
+    u, v = (tuple(draw(st.permutations(range(1, n + 1)))) for _ in range(2))
+    return (v, u) if bruhat_leq(v, u) else (u, v)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(ordered_pairs())
+def test_interval_matches_filter_property(pair):
+    u, v = pair
+    if bruhat_leq(u, v):
+        assert bruhat_interval(u, v) == filter_interval(u, v)
+    else:
+        with pytest.raises(DomainError):
+            bruhat_interval(u, v)
 
 
 def test_dual_permutation():
