@@ -181,7 +181,10 @@ def _cmd_lpm(args) -> int:
         )
     elif args.action == "quotient":
         m = lpm_mod.lpm_new(n, _subset_from_str(args.args[0]), _subset_from_str(args.args[1]))
-        u, l = (int(t) for t in args.pair.split(","))
+        try:
+            u, l = (int(t) for t in args.pair.split(","))
+        except ValueError as exc:
+            raise UsageError(f"--pair needs two integers u,l, got {args.pair!r}") from exc
         q = lpm_mod.elementary_quotient(m, lpm_mod.good_pair(m, u, l))
         _emit({"quotient": lpm_mod.lpm_to_json(q)}, [("quotient", str(q))], fmt)
     else:  # chain
@@ -266,12 +269,14 @@ def _cmd_flag(args) -> int:
         )
     elif args.action == "polytope":
         doc = _read_doc(args.args[0])
-        constituents = []
-        for d in doc["constituents"]:
-            if "bases" in d:
-                constituents.append(matroid_mod.matroid_from_json(d))
-            else:
-                constituents.append(lpm_mod.to_set_matroid(lpm_mod.lpm_from_json(d)))
+        try:
+            constituents = [
+                matroid_mod.matroid_from_json(d) if "bases" in d
+                else lpm_mod.to_set_matroid(lpm_mod.lpm_from_json(d))
+                for d in doc["constituents"]
+            ]
+        except (KeyError, TypeError) as exc:
+            raise DomainError(f"malformed flag document: {exc}") from exc
         pts = sorted(flag_polytope_vertices(constituents))
         _emit(
             {"vertices": [point_to_json(p) for p in pts]},

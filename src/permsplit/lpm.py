@@ -13,8 +13,13 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import DomainError, GaleOrderError
-from .matroid import SetMatroid, exchange_violation, is_quotient, matroid_from_bases
-from .perm import BruhatInterval, bruhat_interval, bruhat_permutation_of_chain
+from .matroid import SetMatroid, is_quotient, matroid_from_bases
+from .perm import (
+    BruhatInterval,
+    bruhat_interval,
+    bruhat_permutation_of_chain,
+    chain_of_permutation,
+)
 
 
 @dataclass(frozen=True)
@@ -228,28 +233,22 @@ def flag_of_interval(iv: BruhatInterval):
 
     Constituent i collects, over the interval members z, the positions of the
     i largest values of z.  Returns (matroids, verdict) where the verdict is
-    True iff every family is a matroid recognized by :func:`is_lpm` and every
-    consecutive pair is a quotient.
+    True iff every family is recognized by :func:`is_lpm` (an LPM is a
+    matroid, so no exchange test is needed) and every consecutive pair is a
+    quotient.
     """
     return _flag_of_members(iv.n, bruhat_interval(iv.lo, iv.hi))
 
 
 def _flag_of_members(n: int, members):
     """flag_of_interval on an interval's member tuple."""
-    families = []
-    for i in range(1, n + 1):
-        fam = frozenset(
-            frozenset(p + 1 for p in range(n) if z[p] >= n - i + 1) for z in members
-        )
-        families.append(fam)
     matroids = tuple(
-        SetMatroid(n=n, bases=fam, rank=i) for i, fam in enumerate(families, start=1)
+        SetMatroid(n=n, bases=frozenset(fam), rank=i)
+        for i, fam in enumerate(zip(*map(chain_of_permutation, members)), start=1)
     )
-    verdict = all(exchange_violation(fam) is None for fam in families)
-    if verdict:
-        verdict = all(is_lpm(m) is not None for m in matroids)
-    if verdict:
-        verdict = all(is_quotient(a, b) for a, b in zip(matroids, matroids[1:]))
+    verdict = all(is_lpm(m) is not None for m in matroids) and all(
+        is_quotient(a, b) for a, b in zip(matroids, matroids[1:])
+    )
     return matroids, verdict
 
 

@@ -364,12 +364,6 @@ def is_permutation_point(p: Point) -> bool:
     return sorted(vals) == list(range(1, len(vals) + 1))
 
 
-def as_permutation(p: Point) -> Perm:
-    if not is_permutation_point(p):
-        raise DomainError(f"{p} is not a permutation point")
-    return perm(int(x) for x in p)
-
-
 # --- JSON forms -------------------------------------------------------------
 
 

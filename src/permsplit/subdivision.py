@@ -15,14 +15,13 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import DomainError
-from .lpm import flag_of_interval
+from .lpm import _flag_of_members
 from .perm import BruhatInterval, Perm, bruhat_interval, perm_to_str
 from .polytope import (
     LinearConstraint,
+    _interval_members,
     affine_rank,
-    as_permutation,
     enumerate_vertices,
-    is_bip,
     is_permutation_point,
     permutahedron_facets,
     permutahedron_vertices,
@@ -72,18 +71,6 @@ def _ordered(hs) -> tuple[SplitHyperplane, ...]:
     return tuple(sorted(set(hs), key=SplitHyperplane.sort_key))
 
 
-def _sign_feasible(hyps, signs) -> bool:
-    # quick kill for contradictory parallel constraints on the same support
-    lo: dict[frozenset, int] = {}
-    hi: dict[frozenset, int] = {}
-    for h, sign in zip(hyps, signs):
-        if sign == "+":
-            lo[h.support] = max(lo.get(h.support, h.level), h.level)
-        else:
-            hi[h.support] = min(hi.get(h.support, h.level), h.level)
-    return all(lo[s] <= hi[s] for s in lo.keys() & hi.keys())
-
-
 def subdivision_from_hyperplanes(n: int, hs):
     """Cut by every hyperplane at once; accept or reject with a witness.
 
@@ -101,38 +88,36 @@ def subdivision_from_hyperplanes(n: int, hs):
 
     facets = permutahedron_facets(n)
     cells = []
+    covered = set()
     for bits in range(2 ** len(hyps)):
         signs = "".join("+" if bits & (1 << t) else "-" for t in range(len(hyps)))
-        if not _sign_feasible(hyps, signs):
-            continue
         cuts = [
             LinearConstraint(
                 h.support, ">=" if sign == "+" else "<=", Fraction(h.level)
             )
             for h, sign in zip(hyps, signs)
         ]
-        enum = enumerate_vertices(list(facets) + cuts, n)
-        if not enum.points:
+        points = enumerate_vertices(list(facets) + cuts, n).points
+        if affine_rank(points) < n - 1:
             continue
-        if affine_rank(enum.points) < n - 1:
-            continue
-        strays = [p for p in enum.points if not is_permutation_point(p)]
+        strays = [p for p in points if not is_permutation_point(p)]
         if strays:
             return SubdivisionRejection(
                 n=n, hyperplanes=hyps, reason="new-vertex", signs=signs,
                 witness=strays[0],
             )
-        members = tuple(as_permutation(p) for p in enum.points)
-        interval = is_bip(members)
-        if interval is None:
+        # every coordinate is now an int, so the points are the permutations
+        found = _interval_members(points)
+        if found is None:
             return SubdivisionRejection(
                 n=n, hyperplanes=hyps, reason="non-bip-cell", signs=signs,
-                witness=members,
+                witness=points,
             )
-        _, lpfm_ok = flag_of_interval(interval)
+        interval, members = found
+        _, lpfm_ok = _flag_of_members(n, members)
         cells.append(SubdivisionCell(signs=signs, interval=interval, lpfm=lpfm_ok))
+        covered.update(members)
 
-    covered = set().union(*(frozenset(c.points()) for c in cells))
     if covered != set(permutahedron_vertices(n)):
         raise RuntimeError("accepted cells do not tile the permutation set")
     return Subdivision(n=n, hyperplanes=hyps, cells=tuple(cells))

@@ -188,3 +188,16 @@ def test_missing_file_exit_code(capsys, tmp_path):
 def test_zero_denominator_exit_code(capsys):
     code, out, err = run(capsys, "matroid", "from-matrix", '[["1/0"]]')
     assert code == 1 and not out and "malformed matrix entry" in err
+
+
+@pytest.mark.parametrize("pair", ["4", "a,b"])
+def test_malformed_pair_exit_code(capsys, pair):
+    code, out, err = run(capsys, "lpm", "quotient", "-n", "8", "1247", "3568", "--pair", pair)
+    assert code == 2 and not out and "Traceback" not in err and "--pair" in err
+
+
+@pytest.mark.parametrize("doc", ["{}", "[1]"])
+def test_malformed_flag_document_exit_code(capsys, doc):
+    code, out, err = run(capsys, "flag", "polytope", doc)
+    assert code == 1 and not out and "Traceback" not in err
+    assert "malformed flag document" in err

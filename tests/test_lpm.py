@@ -27,6 +27,10 @@ from permsplit import (
     uniform_matroid,
 )
 from permsplit.lpm import flag_from_json, flag_to_json, lpm_from_json, lpm_to_json
+from permsplit.matroid import SetMatroid, exchange_violation
+from permsplit.perm import bruhat_leq
+from permsplit.polytope import permutahedron_vertices
+from permsplit.splits import check_split, theorem_hyperplanes
 
 
 def gale_interval_brute(n, upper, lower):
@@ -176,6 +180,42 @@ def test_flag_of_interval():
     for m in mats:
         u, l = is_lpm(m)
         assert is_schubert(lpm_new(4, u, l))
+
+
+def _reference_flag_of_members(n, members):
+    """The LPM-flag verdict as first defined, with its basis-exchange test."""
+    families = [
+        frozenset(frozenset(p + 1 for p in range(n) if z[p] >= n - i + 1) for z in members)
+        for i in range(1, n + 1)
+    ]
+    matroids = tuple(
+        SetMatroid(n=n, bases=fam, rank=i) for i, fam in enumerate(families, start=1)
+    )
+    verdict = (
+        all(exchange_violation(fam) is None for fam in families)
+        and all(is_lpm(m) is not None for m in matroids)
+        and all(is_quotient(a, b) for a, b in zip(matroids, matroids[1:]))
+    )
+    return matroids, verdict
+
+
+def test_flag_of_interval_matches_exchange_reference():
+    small = [
+        BruhatInterval(u, v)
+        for n in range(1, 5)
+        for u in permutahedron_vertices(n)
+        for v in permutahedron_vertices(n)
+        if bruhat_leq(u, v)
+    ]
+    cells = [c for n in (5, 6) for h in theorem_hyperplanes(n) for c in check_split(h).cells]
+    verdicts = []
+    for iv in small + cells:
+        got = flag_of_interval(iv)
+        assert got == _reference_flag_of_members(iv.n, iv.members()), iv
+        verdicts.append(got[1])
+    # both verdicts occur among the small intervals, and every good-split cell is a flag
+    assert set(verdicts[: len(small)]) == {True, False}
+    assert all(verdicts[len(small):])
 
 
 def test_json_round_trips():

@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -162,6 +163,24 @@ def test_l3_poset_matches_fixture():
 def test_l4_poset_matches_fixture():
     got = json.loads(export_poset(build_poset(4), "json"))
     expected = json.loads((FIXTURES / "l4_poset.json").read_text())
+    assert got == expected
+
+
+def test_subdivisions_match_fixture():
+    # every nonempty subset of the theorem hyperplanes at n=3 and n=4, by size
+    # and then in combinations order, witnesses and sign vectors included
+    got = []
+    for n in (3, 4):
+        hyps = theorem_hyperplanes(n)
+        for size in range(1, len(hyps) + 1):
+            for combo in combinations(hyps, size):
+                result = subdivision_from_hyperplanes(n, combo)
+                if isinstance(result, SubdivisionRejection):
+                    got.append(rejection_to_json(result))
+                else:
+                    got.append(subdivision_to_json(result))
+    expected = json.loads((FIXTURES / "l4_subdivisions.json").read_text())
+    assert len(got) == 3 + 63
     assert got == expected
 
 
