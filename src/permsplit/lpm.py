@@ -10,16 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import or_
 
 from .errors import DomainError, GaleOrderError
 from .matroid import SetMatroid, is_quotient, matroid_from_bases
-from .perm import (
-    BruhatInterval,
-    bruhat_interval,
-    bruhat_permutation_of_chain,
-    chain_of_permutation,
-)
+from .perm import BruhatInterval, bruhat_interval, bruhat_permutation_of_chain
 
 
 @dataclass(frozen=True)
@@ -233,23 +229,27 @@ def flag_of_interval(iv: BruhatInterval):
 
     Constituent i collects, over the interval members z, the positions of the
     i largest values of z.  Returns (matroids, verdict) where the verdict is
-    True iff every family is recognized by :func:`is_lpm` (an LPM is a
-    matroid, so no exchange test is needed) and every consecutive pair is a
-    quotient.
+    True iff every family is recognized by :func:`is_lpm`.  Neither an exchange
+    test (an LPM is a matroid) nor a quotient test is needed: a Bruhat interval
+    polytope is a flag matroid polytope (Tsukerman-Williams).
     """
     return _flag_of_members(iv.n, bruhat_interval(iv.lo, iv.hi))
 
 
 def _flag_of_members(n: int, members):
     """flag_of_interval on an interval's member tuple."""
+    families = [set() for _ in range(n)]  # i - 1 -> bitmasks of top-i value positions
+    for z in members:
+        where = [0] * n  # where[j]: the bit of the position of value n - j
+        for p, x in enumerate(z):
+            where[n - x] = 1 << p
+        for fam, mask in zip(families, accumulate(where, or_)):
+            fam.add(mask)
     matroids = tuple(
-        SetMatroid(n=n, bases=frozenset(fam), rank=i)
-        for i, fam in enumerate(zip(*map(chain_of_permutation, members)), start=1)
+        SetMatroid(n, frozenset(frozenset(p + 1 for p in range(n) if m >> p & 1) for m in fam), i)
+        for i, fam in enumerate(families, start=1)
     )
-    verdict = all(is_lpm(m) is not None for m in matroids) and all(
-        is_quotient(a, b) for a, b in zip(matroids, matroids[1:])
-    )
-    return matroids, verdict
+    return matroids, all(is_lpm(m) is not None for m in matroids)
 
 
 # --- JSON forms -------------------------------------------------------------

@@ -101,7 +101,8 @@ def bruhat_interval(u: Perm, v: Perm) -> tuple[Perm, ...]:
     """All z with u <= z <= v, sorted lexicographically.
 
     Enumerated over the prefix value sets that bruhat_leq's criterion allows
-    between u's and v's, in O(2^n n + n |[u, v]|) rather than n! steps.
+    between u's and v's, in O(2^n n + n |[u, v]|) rather than n! steps.  Halves
+    are built once per live set, so nearly every tuple made is a member.
     """
     n = len(u)
     if n > MAX_INTERVAL_N:
@@ -111,8 +112,10 @@ def bruhat_interval(u: Perm, v: Perm) -> tuple[Perm, ...]:
     guard = _WEIGHT[n] << 4
     low = list(accumulate((_WEIGHT[x] for x in u), initial=0))
     high = [c | guard for c in accumulate((_WEIGHT[x] for x in v), initial=0)]
-    layer = {(1 << n) - 1: low[n]}  # live sets of one size -> packed counts
+    full, half = (1 << n) - 1, n // 2
+    layer = {full: low[n]}  # live sets of one size -> packed counts
     steps = {}  # live set -> ((value,), live set one value larger), by value
+    tails = {full: [()]}  # live set of size >= half -> its completions, sorted
     for k in range(n - 1, -1, -1):
         below = {}
         for x in range(1, n + 1):
@@ -123,13 +126,16 @@ def bruhat_interval(u: Perm, v: Perm) -> tuple[Perm, ...]:
                     if (ca | guard) - low[k] & guard == guard and high[k] - ca & guard == guard:
                         below[a] = ca
                         steps.setdefault(a, []).append(((x,), m))
+        if k >= half:
+            for a in below:
+                tails[a] = [x + t for x, m in steps[a] for t in tails[m]]
         layer = below
     if not layer:  # the empty set is live iff u itself is a member
         raise DomainError(f"{u} is not <= {v} in Bruhat order")
-    paths = [((), 0)]
-    for _ in range(n):
-        paths = [(p + x, c) for p, m in paths for x, c in steps[m]]
-    return tuple(p for p, _ in paths)
+    heads = [((), 0)]  # first halves of the members, with their value sets
+    for _ in range(half):
+        heads = [(p + x, c) for p, m in heads for x, c in steps[m]]
+    return tuple([p + t for p, m in heads for t in tails[m]])
 
 
 def dual_permutation(t: Perm) -> Perm:

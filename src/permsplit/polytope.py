@@ -17,7 +17,7 @@ from math import comb, gcd, lcm
 
 from .errors import DomainError
 from .matroid import _eliminate, _matrix_rank_int, is_quotient
-from .perm import BruhatInterval, Perm, bruhat_interval, bruhat_leq, length, perm
+from .perm import BruhatInterval, Perm, bruhat_interval, bruhat_leq, perm
 
 Point = tuple  # n exact rationals (ints or Fractions)
 
@@ -224,10 +224,11 @@ def flag_polytope_vertices(constituents) -> frozenset[Point]:
 def is_bip(points) -> BruhatInterval | None:
     """Recognize a point set as a full Bruhat interval.
 
-    An interval's bottom and top are its unique points of least and greatest
-    length, so one point of each length must span an interval that
-    reproduces the set exactly; a second point of that length would lie
-    outside it.  Every point must be a permutation.
+    Lexicographic order extends Bruhat order (a cover swaps an ascent, so it
+    raises the first value that changes), so an interval's bottom and top
+    are its lexicographically least and greatest points; the set is an
+    interval iff those two span one that reproduces it exactly.  Every
+    point must be a permutation, and all of one size.
     """
     found = _interval_members(points)
     return None if found is None else found[0]
@@ -235,15 +236,16 @@ def is_bip(points) -> BruhatInterval | None:
 
 def _interval_members(points):
     """(interval, its members) when the points form one, else None; see is_bip."""
-    pts = {perm(p) for p in points}
+    pts = {tuple(p) for p in points}
     if not pts:
         return None
-    ranked = [(length(p), p) for p in pts]
-    (_, lo), (_, hi) = min(ranked), max(ranked)
+    lo, hi = perm(min(pts)), perm(max(pts))
     members = bruhat_interval(lo, hi) if bruhat_leq(lo, hi) else ()
-    if set(members) != pts:
-        return None
-    return BruhatInterval(lo, hi), members
+    if pts == set(members):  # so every point is a permutation
+        return BruhatInterval(lo, hi), members
+    if len({len(perm(p)) for p in pts}) > 1:  # perm raises on a non-permutation
+        raise DomainError("points of different sizes")
+    return None
 
 
 # --- exact vertex enumeration ------------------------------------------------

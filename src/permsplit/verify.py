@@ -1,9 +1,10 @@
 """Self-contained verification checks with independent oracles.
 
 Each check cross-validates a library operation against a second computation
-route: cover-graph reachability for the Bruhat order, dynamic programming
-for lattice-path counts, random rational matrices for matroid quotients,
-and exhaustive flag enumeration for the interval/polytope correspondence.
+route: cover-graph reachability for the Bruhat order, its intervals and
+their flags, dynamic programming for lattice-path counts, random rational
+matrices for matroid quotients, and exhaustive flag enumeration for the
+interval/polytope correspondence.
 The CLI ``verify`` subcommand and the acceptance tests both run these.
 """
 
@@ -18,19 +19,22 @@ from .errors import DomainError
 from .lpm import (
     LPFMFlag,
     elementary_quotient,
+    flag_of_interval,
     good_pairs,
+    is_lpm,
     lpfm_interval,
     lpm_bases,
     lpm_new,
     to_set_matroid,
     uniform_lpm,
 )
-from .matroid import SetMatroid, is_quotient, matroid_from_rational_matrix
+from .matroid import SetMatroid, exchange_violation, is_quotient, matroid_from_rational_matrix
 from .perm import (
     BruhatInterval,
     bruhat_covers,
     bruhat_interval,
     bruhat_leq,
+    chain_of_permutation,
     dual_interval,
     identity,
     length,
@@ -211,20 +215,47 @@ def check_bruhat_oracle(n: int) -> CheckResult:
     )
 
 
+def _comparable_pairs(reach: dict, n: int, seed: int):
+    """Every comparable pair for n <= 4, else _SAMPLES seeded ones; and a label."""
+    pairs = [(u, v) for u in sorted(reach) for v in sorted(reach[u])]
+    if n <= 4:
+        return pairs, f"exhaustive ({len(pairs)} comparable pairs)"
+    return random.Random(seed).sample(pairs, _SAMPLES), f"{_SAMPLES} sampled comparable pairs"
+
+
 def check_interval_oracle(n: int, seed: int = 0) -> CheckResult:
     """Each interval must equal the one read off cover-digraph reachability."""
     reach = cover_reachability(n)
-    pairs = [(u, v) for u in sorted(reach) for v in sorted(reach[u])]
-    if n <= 4:
-        mode = f"exhaustive ({len(pairs)} comparable pairs)"
-    else:
-        pairs = random.Random(seed).sample(pairs, _SAMPLES)
-        mode = f"{_SAMPLES} sampled comparable pairs"
+    pairs, mode = _comparable_pairs(reach, n, seed)
     bad = sum(
         bruhat_interval(u, v) != tuple(sorted(z for z in reach[u] if v in reach[z]))
         for u, v in pairs
     )
     return _result(f"interval-oracle[n={n}]", bad == 0, f"{mode}, {bad} mismatches")
+
+
+def check_flag_oracle(n: int, seed: int = 0) -> CheckResult:
+    """flag_of_interval must match the flag of the cover-digraph members.
+
+    The oracle's families are the members' chains of top-value position
+    sets, and its verdict applies the exchange and quotient tests that
+    flag_of_interval leaves out.
+    """
+    reach = cover_reachability(n)
+    pairs, mode = _comparable_pairs(reach, n, seed)
+    bad = 0
+    for u, v in pairs:
+        members = [z for z in reach[u] if v in reach[z]]
+        families = [frozenset(f) for f in zip(*map(chain_of_permutation, members))]
+        oracle = [SetMatroid(n=n, bases=f, rank=i) for i, f in enumerate(families, start=1)]
+        verdict = (
+            all(exchange_violation(f) is None for f in families)
+            and all(is_lpm(m) is not None for m in oracle)
+            and all(is_quotient(a, b) for a, b in zip(oracle, oracle[1:]))
+        )
+        matroids, got = flag_of_interval(BruhatInterval(u, v))
+        bad += (list(matroids), got) != (oracle, verdict)
+    return _result(f"flag-oracle[n={n}]", bad == 0, f"{mode}, {bad} mismatches")
 
 
 def check_interval_polytope_match(n: int, seed: int = 0) -> CheckResult:
@@ -486,6 +517,7 @@ def run_checks(n: int, seed: int = 0) -> list[CheckResult]:
     results = [
         check_bruhat_oracle(n),
         check_interval_oracle(n, seed=seed),
+        check_flag_oracle(n, seed=seed),
         check_interval_polytope_match(n, seed=seed),
         check_theorem_hyperplanes(n),
         check_classification(n),

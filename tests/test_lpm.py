@@ -183,7 +183,7 @@ def test_flag_of_interval():
 
 
 def _reference_flag_of_members(n, members):
-    """The LPM-flag verdict as first defined, with its basis-exchange test."""
+    """The LPM-flag verdict as first defined, with its exchange and quotient tests."""
     families = [
         frozenset(frozenset(p + 1 for p in range(n) if z[p] >= n - i + 1) for z in members)
         for i in range(1, n + 1)
@@ -202,7 +202,7 @@ def _reference_flag_of_members(n, members):
 def test_flag_of_interval_matches_exchange_reference():
     small = [
         BruhatInterval(u, v)
-        for n in range(1, 5)
+        for n in range(1, 6)
         for u in permutahedron_vertices(n)
         for v in permutahedron_vertices(n)
         if bruhat_leq(u, v)
@@ -223,3 +223,13 @@ def test_json_round_trips():
     assert lpm_from_json(lpm_to_json(m)) == m
     flag = lpfm_flag([uniform_lpm(k, 3) for k in (1, 2, 3)])
     assert flag_from_json(flag_to_json(flag)) == flag
+
+
+def test_flag_oracle_check(monkeypatch):
+    from permsplit import verify
+
+    result = verify.check_flag_oracle(4)
+    assert result.passed and result.detail == "exhaustive (213 comparable pairs), 0 mismatches"
+    # the oracle is not vacuous: a flag_of_interval that accepts everything fails it
+    monkeypatch.setattr(verify, "flag_of_interval", lambda iv: (flag_of_interval(iv)[0], True))
+    assert not verify.check_flag_oracle(4).passed

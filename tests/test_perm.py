@@ -64,6 +64,14 @@ def test_covers_raise_length_by_one():
             assert length(q) == length(p) + 1
 
 
+def test_covers_raise_lexicographic_order():
+    # lexicographic order extends Bruhat order, so an interval's ends are its
+    # lexicographic min and max (polytope.is_bip relies on this)
+    for n in range(1, 7):
+        for p in permutations(range(1, n + 1)):
+            assert all(q > p for q in bruhat_covers(p)), p
+
+
 def test_leq_examples():
     assert bruhat_leq((1, 3, 2, 4), (3, 4, 1, 2))
     assert bruhat_leq((2, 1, 4, 3), (3, 1, 4, 2))

@@ -27,6 +27,7 @@ from permsplit import (
 from permsplit.matroid import _eliminate
 from permsplit.polytope import (
     BruhatInterval,
+    _interval_members,
     _matrix_rank_int,
     _solve_square,
     affine_rank,
@@ -159,6 +160,32 @@ def test_is_bip():
     assert is_bip(ten) == BruhatInterval((1, 3, 2, 4), (3, 4, 1, 2))
     with pytest.raises(DomainError):
         is_bip([(1, 2, 2)])
+
+
+def test_is_bip_edge_inputs():
+    assert is_bip([]) is None and _interval_members([]) is None
+    # a point that is not a permutation raises, wherever it sits in the order
+    for bad in ((0, 0, 0), (2, 2, 2), (4, 4, 4)):
+        for pts in ([bad], [(1, 2, 3), bad, (3, 2, 1)], [(2, 1, 3), bad]):
+            with pytest.raises(DomainError):
+                is_bip(pts)
+            with pytest.raises(DomainError):
+                _interval_members(pts)
+    # points of different sizes raise, whether or not the extremes differ in size
+    for pts in ([(1, 2), (2, 1, 3)], [(1, 2, 3), (2, 1), (3, 2, 1)], [(1, 3, 2), (1, 2)]):
+        with pytest.raises(DomainError):
+            is_bip(pts)
+        with pytest.raises(DomainError):
+            _interval_members(pts)
+    # integer-valued Fractions give the interval of ints they equal
+    members = bruhat_interval((1, 3, 2, 4), (3, 4, 1, 2))
+    as_fractions = [tuple(Fraction(x) for x in z) for z in members]
+    iv, got = _interval_members(as_fractions)
+    assert iv == BruhatInterval((1, 3, 2, 4), (3, 4, 1, 2)) and got == members
+    assert all(type(x) is int for z in (iv.lo, iv.hi, *got) for x in z)
+    assert is_bip(as_fractions) == iv
+    assert is_bip([list(z) for z in members]) == iv
+    assert is_bip(as_fractions[:-1]) is None
 
 
 def test_is_bip_round_trip_exhaustive():
