@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations
-from operator import or_
+from operator import index, or_
 
 from .errors import DomainError, GaleOrderError
 from .matroid import SetMatroid, is_quotient, matroid_from_bases
@@ -261,7 +261,9 @@ def lpm_to_json(m: LatticePathMatroid) -> dict:
 
 def lpm_from_json(doc: dict) -> LatticePathMatroid:
     try:
-        return lpm_new(int(doc["n"]), doc["U"], doc["L"])
+        # index, unlike int, rejects "x" and 2.7 with a TypeError
+        steps = [[index(x) for x in doc[key]] for key in ("U", "L")]
+        return lpm_new(index(doc["n"]), *steps)
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed LPM document: {exc}") from exc
 

@@ -13,6 +13,7 @@ from functools import lru_cache
 from itertools import chain as _chain
 from itertools import combinations
 from math import lcm
+from operator import index
 
 from .errors import DomainError, ExchangeAxiomError
 
@@ -281,7 +282,8 @@ def matroid_to_json(m: SetMatroid) -> dict:
 
 def matroid_from_json(doc: dict) -> SetMatroid:
     try:
-        return matroid_from_bases(int(doc["n"]), doc["bases"])
+        # index, unlike int, rejects "x" and 2.7 with a TypeError
+        return matroid_from_bases(index(doc["n"]), doc["bases"])
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed matroid document: {exc}") from exc
 

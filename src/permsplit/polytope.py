@@ -58,7 +58,6 @@ class Face2D:
 
     blocks: tuple[tuple[int, ...], ...]
     shape: str
-    vertices: tuple[Perm, ...]
     lo: Perm
     hi: Perm
 
@@ -124,43 +123,16 @@ def _ordered_partitions(positions, sizes):
             yield (block,) + tail
 
 
-def _face_vertices(blocks, n):
-    # block t holds the next len(block) largest values, in every arrangement
-    ranges = []
-    top = n
-    for block in blocks:
-        ranges.append(tuple(range(top, top - len(block), -1)))  # descending
-        top -= len(block)
-    verts = []
-
-    def rec(t, filled):
-        if t == len(blocks):
-            verts.append(perm(filled))
-            return
-        block, vals = blocks[t], ranges[t]
-        for arrangement in permutations(vals):
-            nxt = list(filled)
-            for pos, val in zip(block, arrangement):
-                nxt[pos - 1] = val
-            rec(t + 1, nxt)
-
-    rec(0, [0] * n)
-    return tuple(sorted(verts))
-
-
 def _block_extremes(blocks, n):
     # ascending values inside each block give the Bruhat-least vertex,
     # descending the greatest
-    lo = [0] * n
-    hi = [0] * n
+    lo, hi = [0] * n, [0] * n
     top = n
     for block in blocks:
-        vals = list(range(top, top - len(block), -1))
+        vals = range(top - len(block) + 1, top + 1)
         top -= len(block)
-        for pos, val in zip(block, sorted(vals)):
-            lo[pos - 1] = val
-        for pos, val in zip(block, sorted(vals, reverse=True)):
-            hi[pos - 1] = val
+        for pos, up, down in zip(block, vals, reversed(vals)):
+            lo[pos - 1], hi[pos - 1] = up, down
     return perm(lo), perm(hi)
 
 
@@ -181,15 +153,7 @@ def faces_2d(n: int) -> tuple[Face2D, ...]:
         for blocks in _ordered_partitions(positions, sizes):
             shape = "hexagon" if 3 in sizes else "square"
             lo, hi = _block_extremes(blocks, n)
-            faces.append(
-                Face2D(
-                    blocks=blocks,
-                    shape=shape,
-                    vertices=_face_vertices(blocks, n),
-                    lo=lo,
-                    hi=hi,
-                )
-            )
+            faces.append(Face2D(blocks=blocks, shape=shape, lo=lo, hi=hi))
     return tuple(faces)
 
 

@@ -6,11 +6,42 @@ Three families of level sets of facet normals produce good splits:
 * high prefix sums  x_1 + ... + x_j = n + ... + (n-j+2) + (n-j)
 * single coordinates x_1 = r and x_n = r                     (2 <= r <= n-1)
 
-``check_split`` verifies a candidate geometrically: one sweep over the
-2-faces of Π_n gives the verdict, and only a good split has its two cells
-built.  ``predicted_cells`` gives the closed-form interval pair for
-recognized family members.  ``exhaustive_scan`` reads the same sweep once per
-support for every integer level and must recover exactly the families above.
+A level of x_S strictly inside its range is a good split exactly when no
+2-face forbids it: a square forbids the levels that cut it strictly, a
+hexagon those that leave its Bruhat extremes ``lo`` and ``hi`` not strictly
+on opposite sides.  An edge moves x_S by 0 or 1, so it cuts no integer level.
+
+Lemma.  Let k = |S|; call S *mid* when a position of S has positions outside
+S on both sides, and *outer* when a position outside S has positions of S on
+both sides.  Squares forbid t = r + v + w + 1, for w >= v + 2 and r a sum of
+k - 2 values outside {v, v+1, w, w+1}.  Hexagons forbid t = r + v + 1 if S is
+mid, r a sum of k - 1 values outside {v, v+1, v+2}, and t = r + 2v + 2 if S
+is outer, r a sum of k - 2 values outside {v, v+1, v+2}.
+
+Proof.  A 2-face is an ordered set partition into n - 2 blocks, one of size 3
+(a hexagon) or two of size 2 (a square).  Each block carries a run of
+consecutive values in every order over its positions, so x_S is r, the
+values S takes in singleton blocks, plus what S takes in the larger blocks.
+A 2-block on {w, w+1} adds w or w + 1 when S takes one of its positions and
+a constant otherwise, so a square on {v, v+1} and {w, w+1} is cut strictly,
+at r + v + w + 1 only, exactly when S takes one position of each 2-block.  On a hexagon with
+positions a < b < c and values v..v+2, S taking {b} puts lo and hi both at
+the middle level r + v + 1, and {a, c} both at r + 2v + 2; {a}, {c}, {a, b}
+and {b, c} put them strictly on opposite sides of the one level cut; none or
+all leaves x_S constant.  Any positions can carry a block, any run of values
+can be its values, and the singleton blocks take the other values in any
+order, so each level listed occurs once S has the positions its pattern
+needs: 2 <= k <= n - 2 for a square, mid for {b}, outer for {a, c}.
+
+>>> _open_levels(4, (1, 2))
+[4, 6]
+>>> _verdict(4, {3}, 3)
+'bad-hexagon'
+
+``check_split`` reads the verdict from the lemma, names the first offending
+2-face of a bad split and builds the two cells of a good one.
+``predicted_cells`` gives the closed-form cells of the family members, and
+``exhaustive_scan`` must recover exactly the families above.
 
 Within the ambient hyperplane sum(x) = n(n+1)/2, the supports S and [n]-S
 with complementary levels describe the same hyperplane; SplitHyperplane
@@ -23,14 +54,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from operator import itemgetter
 
 from .errors import DomainError
 from .lpm import _flag_of_members
-from .perm import BruhatInterval, dual_interval, identity, longest, set_sequences
+from .perm import MAX_INTERVAL_N, BruhatInterval, dual_interval, identity, longest, set_sequences
 from .polytope import Face2D, _interval_members, faces_2d, permutahedron_vertices
 
-# largest n that exhaustive_scan accepts: n=7 takes seconds, n=8 has 11x its 2-faces
+# largest n that exhaustive_scan accepts: the scan lists all 2^(n-1) canonical
+# supports, and larger n has no measured frontier yet
 MAX_SCAN_N = 7
 
 
@@ -139,62 +170,73 @@ def theorem_hyperplanes(n: int) -> tuple[SplitHyperplane, ...]:
     return tuple(sorted(_families(n), key=SplitHyperplane.sort_key))
 
 
+def _subset_sums(values, m: int) -> int:
+    """Bitset of the sums of m distinct elements of values (bit s for sum s)."""
+    rows = [1] + [0] * m  # rows[j]: the sums of j of the values seen so far
+    for x in values:
+        for j in range(m, 0, -1):
+            rows[j] |= rows[j - 1] << x
+    return rows[m] if m >= 0 else 0
+
+
 @lru_cache(maxsize=None)
-def _sweep_tables(n: int):
-    """Π_n by vertex index: value columns, and each square and hexagon as its
-    index in ``faces_2d`` with a getter that reads the face's values from a
-    list in vertex order; a hexagon's getter yields its ``lo`` and ``hi``
-    values first."""
-    perms = permutahedron_vertices(n)
-    index = {p: k for k, p in enumerate(perms)}
-    squares, hexagons = [], []
-    for k, face in enumerate(faces_2d(n)):
-        verts = [index[p] for p in face.vertices]
-        if face.shape == "square":
-            squares.append((k, itemgetter(*verts)))
-        else:
-            hexagons.append((k, itemgetter(index[face.lo], index[face.hi], *verts)))
-    return tuple(zip(*perms)), tuple(squares), tuple(hexagons)
+def _forbidden_levels(n: int, k: int, mid: bool, outer: bool):
+    """Bitsets (bit t for level t) of the levels that squares and that
+    hexagons forbid for a support of class (k, mid, outer); see the lemma."""
+    squares = hexagons = 0
+    for v in range(1, n - 2):
+        for w in range(v + 2, n):
+            rest = [x for x in range(1, n + 1) if x not in (v, v + 1, w, w + 1)]
+            squares |= _subset_sums(rest, k - 2) << v + w + 1
+    for v in range(1, n - 1):
+        rest = [x for x in range(1, n + 1) if not v <= x <= v + 2]
+        if mid:
+            hexagons |= _subset_sums(rest, k - 1) << v + 1
+        if outer:
+            hexagons |= _subset_sums(rest, k - 2) << 2 * v + 2
+    return squares, hexagons
 
 
-def _values(n: int, support) -> list[int]:
-    """x_S at every vertex of Π_n, in ``permutahedron_vertices`` order."""
-    columns = _sweep_tables(n)[0]
-    return list(map(sum, zip(*(columns[i - 1] for i in support))))
+def _support_class(n: int, support) -> tuple[int, bool, bool]:
+    """(k, mid, outer) of a nonempty proper support: S is mid when [n] - S
+    is not a run of positions, and outer when S is not."""
+    outside = [p for p in range(1, n + 1) if p not in support]
+    k = len(support)
+    return k, outside[-1] - outside[0] >= n - k, max(support) - min(support) >= k
 
 
-def _face_cuts(n: int, support):
-    """(level, verdict, index in ``faces_2d``) for each 2-face forbidding a level.
-
-    A square forbids the levels that cut it strictly, a hexagon those of
-    them that leave its ``lo`` and ``hi`` not strictly on opposite sides.
-    Squares come first, then hexagons, each in ``faces_2d`` order.  No edge
-    needs a test: it moves x_S by 0 or 1, so it cuts no integer level.
-    """
-    _, squares, hexagons = _sweep_tables(n)
-    vals = _values(n, support)
-    for k, get in squares:
-        fv = get(vals)
-        for t in range(min(fv) + 1, max(fv)):
-            yield t, "bad-square", k
-    for k, get in hexagons:
-        fv = get(vals)
-        for t in range(min(fv) + 1, max(fv)):
-            if (fv[0] - t) * (fv[1] - t) >= 0:
-                yield t, "bad-hexagon", k
-
-
-def _verdict(n: int, support, level: int) -> tuple[str, int | None]:
-    """Verdict of x_S = level, with the first offending face's index."""
+def _verdict(n: int, support, level: int) -> str:
+    """Verdict of x_S = level, read from the class of S."""
     lo, hi = _support_bounds(n, len(support))
     if not lo < level < hi:
-        return "not-a-split", None
-    cuts = ((v, k) for t, v, k in _face_cuts(n, support) if t == level)
-    return next(cuts, ("good-split", None))
+        return "not-a-split"
+    squares, hexagons = _forbidden_levels(n, *_support_class(n, support))
+    if squares >> level & 1:
+        return "bad-square"
+    if hexagons >> level & 1:
+        return "bad-hexagon"
+    return "good-split"
+
+
+def _offending_face(n: int, support: frozenset[int], level: int, verdict: str) -> Face2D:
+    """The first face in ``faces_2d`` order of the verdict's shape that
+    forbids the level.  S must take some but not all positions of each
+    larger block; then a square forbids the level its lo and hi average to,
+    and a hexagon the level at which both its lo and hi sit."""
+    idx = [i - 1 for i in support]
+    for face in faces_2d(n):
+        if verdict != "bad-" + face.shape or not all(
+            0 < len(support.intersection(b)) < len(b) for b in face.blocks if len(b) > 1
+        ):
+            continue
+        x_lo, x_hi = sum(face.lo[i] for i in idx), sum(face.hi[i] for i in idx)
+        if (x_lo + x_hi == 2 * level) if face.shape == "square" else (x_lo == x_hi == level):
+            return face
+    raise RuntimeError(f"no 2-face of Π_{n} forbids the level {level} ({verdict})")
 
 
 def _require_good(h: SplitHyperplane) -> None:
-    verdict, _ = _verdict(h.n, h.support, h.level)
+    verdict = _verdict(h.n, h.support, h.level)
     if verdict != "good-split":
         raise DomainError(f"{h} is not a good split (verdict {verdict})")
 
@@ -203,15 +245,20 @@ def check_split(h: SplitHyperplane) -> SplitReport:
     """Classify the split induced by h; all failures are verdicts.
 
     Cells are built for a good split only; the face conditions make each
-    closed side a Bruhat interval.
+    closed side a Bruhat interval.  Cells need n <= MAX_INTERVAL_N.
     """
     n, level = h.n, h.level
-    verdict, k = _verdict(n, h.support, level)
+    if n > MAX_INTERVAL_N:
+        raise DomainError(f"check_split needs n <= {MAX_INTERVAL_N}, got n={n}")
+    verdict = _verdict(n, h.support, level)
     if verdict == "not-a-split":
         return SplitReport(verdict=verdict, reason="a strict side is empty")
     if verdict != "good-split":
-        return SplitReport(verdict=verdict, offending_face=faces_2d(n)[k])
-    pairs = list(zip(permutahedron_vertices(n), _values(n, h.support)))
+        face = _offending_face(n, h.support, level, verdict)
+        return SplitReport(verdict=verdict, offending_face=face)
+    perms = permutahedron_vertices(n)
+    columns = list(zip(*perms))
+    pairs = list(zip(perms, map(sum, zip(*(columns[i - 1] for i in h.support)))))
     side_a = _interval_members([p for p, v in pairs if v <= level])
     side_b = _interval_members([p for p, v in pairs if v >= level])
     if side_a is None or side_b is None:
@@ -294,26 +341,32 @@ def dual_hyperplane(h: SplitHyperplane) -> SplitHyperplane:
 def _open_levels(n: int, support) -> list[int]:
     """Levels strictly inside the range of x_S that no 2-face forbids."""
     lo, hi = _support_bounds(n, len(support))
-    forbidden = {t for t, _, _ in _face_cuts(n, support)}
-    return [t for t in range(lo + 1, hi) if t not in forbidden]
+    squares, hexagons = _forbidden_levels(n, *_support_class(n, support))
+    forbidden = squares | hexagons
+    return [t for t in range(lo + 1, hi) if not forbidden >> t & 1]
+
+
+def _canonical_supports(n: int):
+    """The supports SplitHyperplane keeps; [n] - S gives the same hyperplanes."""
+    for size in range(1, n // 2 + 1):
+        for s in combinations(range(1, n + 1), size):
+            if 2 * size < n or s[0] == 1:
+                yield s
 
 
 def exhaustive_scan(n: int) -> tuple[SplitHyperplane, ...]:
     """Every (support, level) whose verdict is good-split, canonically sorted.
 
-    The same 2-face tests as ``check_split``, swept once per support over
-    every integer level, building no cells.  Integer levels suffice: the
+    The same class lemma as ``check_split``, read once per support for every
+    integer level, building no faces and no cells.  Integer levels suffice: the
     middle cell of a split contains permutation vertices, which pins x_S to
     an integer, and every half-integer level is cut by an edge.
     """
     if not 3 <= n <= MAX_SCAN_N:
         raise DomainError(f"exhaustive_scan needs 3 <= n <= {MAX_SCAN_N}, got n={n}")
-    # only the supports SplitHyperplane keeps; [n] - S gives the same hyperplanes
     good = [
         SplitHyperplane(n=n, support=frozenset(s), level=t)
-        for size in range(1, n // 2 + 1)
-        for s in combinations(range(1, n + 1), size)
-        if 2 * size < n or s[0] == 1
+        for s in _canonical_supports(n)
         for t in _open_levels(n, s)
     ]
     return tuple(sorted(good, key=SplitHyperplane.sort_key))

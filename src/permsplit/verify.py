@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from operator import ge, le
 
 from .errors import DomainError
 from .lpm import (
@@ -43,6 +44,7 @@ from .perm import (
 )
 from .polytope import (
     LinearConstraint,
+    _interval_members,
     enumerate_vertices,
     flag_polytope_vertices,
     is_permutation_point,
@@ -51,7 +53,10 @@ from .polytope import (
 )
 from .splits import (
     SplitHyperplane,
+    _canonical_supports,
     _classify,
+    _support_bounds,
+    _verdict,
     check_split,
     dual_hyperplane,
     exhaustive_scan,
@@ -314,7 +319,9 @@ def check_theorem_hyperplanes(n: int) -> CheckResult:
 
 
 def check_classification(n: int) -> CheckResult:
-    """The exhaustive sweep finds exactly the listed hyperplanes."""
+    """The exhaustive scan finds exactly the listed hyperplanes, and at every
+    canonical support and level strictly inside its range the verdict is
+    good-split exactly when both closed sides are Bruhat intervals."""
     scanned = exhaustive_scan(n)
     listed = theorem_hyperplanes(n)
     problems = []
@@ -322,6 +329,18 @@ def check_classification(n: int) -> CheckResult:
         problems.append(
             f"scan found {len(scanned)} hyperplanes, expected {len(listed)}"
         )
+    perms = permutahedron_vertices(n)
+    levels = 0
+    for s in _canonical_supports(n):
+        values = [sum(p[i - 1] for i in s) for p in perms]
+        lo, hi = _support_bounds(n, len(s))
+        for t in range(lo + 1, hi):
+            levels += 1
+            sides = ([p for p, v in zip(perms, values) if side(v, t)] for side in (le, ge))
+            good = all(_interval_members(cell) is not None for cell in sides)
+            if good != (_verdict(n, s, t) == "good-split"):
+                h = SplitHyperplane(n=n, support=frozenset(s), level=t)
+                problems.append(f"{h}: verdict disagrees with the sides")
     if n == 4:
         square = check_split(SplitHyperplane(n=4, support=frozenset({1, 2}), level=5))
         hexa = check_split(SplitHyperplane(n=4, support=frozenset({3}), level=3))
@@ -332,7 +351,9 @@ def check_classification(n: int) -> CheckResult:
     return _result(
         f"split-classification[n={n}]",
         not problems,
-        f"{len(scanned)} good splits" if not problems else "; ".join(problems),
+        f"{len(scanned)} good splits, {levels} levels match the interval test"
+        if not problems
+        else "; ".join(problems),
     )
 
 

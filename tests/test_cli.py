@@ -168,6 +168,8 @@ def test_size_limits_exit_code(capsys):
     assert code == 1 and not out and "n <= 7" in err
     code, out, err = run(capsys, "bruhat", "interval", "123456789", "987654321")
     assert code == 1 and not out and "n <= 8" in err
+    code, out, err = run(capsys, "split", "check", "-n", "9", "x1+x2=7")
+    assert code == 1 and not out and "n <= 8" in err
     code, out, err = run(capsys, "poset", "build", "-n", "5")
     assert code == 1 and not out and "n <= 4" in err
     code, out, err = run(capsys, "verify", "-n", "6")
@@ -194,6 +196,24 @@ def test_zero_denominator_exit_code(capsys):
 def test_malformed_pair_exit_code(capsys, pair):
     code, out, err = run(capsys, "lpm", "quotient", "-n", "8", "1247", "3568", "--pair", pair)
     assert code == 2 and not out and "Traceback" not in err and "--pair" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("matroid", "validate", '{"n":"x","bases":[[1]]}'),
+        ("matroid", "validate", '{"n":2.7,"bases":[[1,2]]}'),
+        ("flag", "interval", '{"n":3,"constituents":[{"n":"q","U":[1],"L":[2]}]}'),
+        ("flag", "interval", '{"n":3,"constituents":[{"n":3,"U":["a"],"L":[2]}]}'),
+        ("flag", "polytope", '{"n":3,"constituents":[{"n":"q","U":[1],"L":[2]}]}'),
+        ("flag", "polytope", '{"n":3,"constituents":[{"n":3,"U":["a"],"L":[2]}]}'),
+    ],
+    ids=["matroid-n-text", "matroid-n-float", "interval-n", "interval-U", "polytope-n", "polytope-U"],
+)
+def test_malformed_json_field_exit_code(capsys, argv):
+    # a field of the wrong type is a domain error, neither raised nor truncated
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out and "malformed" in err and "document" in err
 
 
 @pytest.mark.parametrize("doc", ["{}", "[1]"])

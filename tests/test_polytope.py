@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations, product
 
 import pytest
 
@@ -101,18 +101,38 @@ def test_faces_2d_counts():
     assert len(f3) == 1 and f3[0].shape == "hexagon"
 
 
+def face_vertices(face, n):
+    """A 2-face's vertices: each block's run of values, the first block's the
+    largest, arranged over its positions in every order, as a product over
+    blocks."""
+    runs, top = [], n
+    for block in face.blocks:
+        runs.append(permutations(range(top - len(block) + 1, top + 1)))
+        top -= len(block)
+    positions = [p for block in face.blocks for p in block]
+    verts = []
+    for parts in product(*runs):
+        v = [0] * n
+        for p, x in zip(positions, chain.from_iterable(parts)):
+            v[p - 1] = x
+        verts.append(tuple(v))
+    return verts
+
+
 def test_faces_2d_extremes():
     hexa = next(
         f for f in faces_2d(4) if f.blocks == ((2, 3, 4), (1,))
     )
     assert hexa.lo == (1, 2, 3, 4) and hexa.hi == (1, 4, 3, 2)
-    # the declared extremes really are Bruhat least/greatest on every face
-    for f in faces_2d(4):
-        for v in f.vertices:
-            assert bruhat_leq(f.lo, v) and bruhat_leq(v, f.hi)
-    # vertex counts by shape
-    for f in faces_2d(5):
-        assert len(f.vertices) == (6 if f.shape == "hexagon" else 4)
+    for n in (4, 5):
+        for f in faces_2d(n):
+            verts = face_vertices(f, n)
+            # vertex counts by shape
+            assert len(set(verts)) == len(verts) == (6 if f.shape == "hexagon" else 4)
+            # the declared extremes are vertices, Bruhat least and greatest
+            assert f.lo in verts and f.hi in verts
+            for v in verts:
+                assert bruhat_leq(f.lo, v) and bruhat_leq(v, f.hi)
 
 
 def test_flag_polytope_vertices_uniform():

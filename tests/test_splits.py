@@ -1,3 +1,4 @@
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -28,6 +29,7 @@ from permsplit.splits import (
     hyperplane_text,
     hyperplane_to_json,
 )
+from test_polytope import face_vertices
 
 
 def H(n, support, level):
@@ -142,6 +144,8 @@ def test_dual_hyperplane():
     assert dual_hyperplane(H(4, {4}, 2)) == H(4, {4}, 3)
     with pytest.raises(DomainError):
         dual_hyperplane(H(4, {1, 2}, 5))  # bad split has no dual
+    # the verdict builds no faces, so duality has no size bound
+    assert dual_hyperplane(H(30, {1}, 2)) == H(30, {1}, 29)
 
 
 def test_dual_hyperplane_cells_are_dual_intervals():
@@ -154,7 +158,7 @@ def test_dual_hyperplane_cells_are_dual_intervals():
 
 
 def test_exhaustive_scan():
-    for n in (3, 4, 5, 6):
+    for n in (3, 4, 5, 6, 7):
         assert exhaustive_scan(n) == theorem_hyperplanes(n)
 
 
@@ -183,20 +187,57 @@ def test_exhaustive_scan_size_limit():
         exhaustive_scan(MAX_SCAN_N + 1)
 
 
+@lru_cache(maxsize=None)
+def _faces_with_vertices(n):
+    return tuple((f, face_vertices(f, n)) for f in faces_2d(n))
+
+
+def sweep_oracle(h):
+    """(verdict, offending face) from the faces' own vertices, never from the
+    class lemma: bad squares first, then hexagons whose lo and hi are not
+    strictly on opposite sides, each in faces_2d order."""
+    n, level = h.n, h.level
+
+    def x(v):
+        return sum(v[i - 1] for i in h.support)
+
+    def cut(verts):
+        values = [x(v) for v in verts]
+        return min(values) < level < max(values)
+
+    faces = _faces_with_vertices(n)
+    bad = [f for f, verts in faces if f.shape == "square" and cut(verts)] + [
+        f for f, verts in faces
+        if f.shape == "hexagon" and cut(verts)
+        and (x(f.lo) - level) * (x(f.hi) - level) >= 0
+    ]
+    lo, hi = _support_bounds(n, len(h.support))
+    if bad:
+        return "bad-" + bad[0].shape, bad[0]
+    if level in (lo, hi):
+        return "not-a-split", None
+    return "good-split", None
+
+
 def test_open_levels_match_check_split():
-    # the sweep's good levels against one verdict per integer level
+    # the open levels against one verdict per integer level, and every
+    # verdict and witness against the face sweep
     for n in (3, 4, 5):
         for size in range(1, n):
             for s in combinations(range(1, n + 1), size):
                 lo, hi = _support_bounds(n, size)
                 slow = [
                     t for t in range(lo + 1, hi)
-                    if _verdict(n, frozenset(s), t)[0] == "good-split"
+                    if _verdict(n, frozenset(s), t) == "good-split"
                 ]
                 assert _open_levels(n, s) == slow, (n, s)
                 for t in range(lo, hi + 1):
-                    report = check_split(H(n, s, t))
+                    h = H(n, s, t)
+                    report = check_split(h)
                     assert (report.verdict == "good-split") == (t in slow), (n, s, t)
+                    assert (report.verdict, report.offending_face) == sweep_oracle(h), (
+                        n, s, t,
+                    )
 
 
 @st.composite
@@ -211,34 +252,13 @@ def candidate_hyperplanes(draw):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(candidate_hyperplanes())
 def test_check_split_against_independent_oracles(h):
-    # oracles that never read the sweep tables: the faces' own vertex tuples,
-    # and the closed-form families and cells
-    n, level = h.n, h.level
-
-    def x(v):
-        return sum(v[i - 1] for i in h.support)
-
-    def cut(face):
-        values = [x(v) for v in face.vertices]
-        return min(values) < level < max(values)
-
-    # bad squares first, then hexagons whose lo and hi are not strictly on
-    # opposite sides, each in faces_2d order
-    bad = [f for f in faces_2d(n) if cut(f) and f.shape == "square"] + [
-        f for f in faces_2d(n)
-        if cut(f) and f.shape == "hexagon" and (x(f.lo) - level) * (x(f.hi) - level) >= 0
-    ]
-    lo, hi = _support_bounds(n, len(h.support))
-    if bad:
-        expected = "bad-" + bad[0].shape
-    elif level in (lo, hi):
-        expected = "not-a-split"
-    else:
-        expected = "good-split"
+    # oracles that never read the class lemma: the face sweep, and the
+    # closed-form families and cells
+    expected, face = sweep_oracle(h)
     report = check_split(h)
     assert report.verdict == expected
-    assert report.offending_face == (bad[0] if bad else None)
-    assert (expected == "good-split") == (h in theorem_hyperplanes(n))
+    assert report.offending_face == face
+    assert (expected == "good-split") == (h in theorem_hyperplanes(h.n))
     if expected == "good-split":
         assert report.cells == predicted_cells(h)
 
