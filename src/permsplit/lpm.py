@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations
-from operator import index, or_
+from operator import index
 
 from .errors import DomainError, GaleOrderError
 from .matroid import SetMatroid, is_quotient, matroid_from_bases
-from .perm import BruhatInterval, bruhat_interval, bruhat_permutation_of_chain
+from .perm import MAX_LATTICE_N, BruhatInterval, _prefix_lattice, bruhat_permutation_of_chain
 
 
 @dataclass(frozen=True)
@@ -26,12 +26,8 @@ class LatticePathMatroid:
     L: tuple[int, ...]
 
     def __str__(self):
-        if self.n <= 9:
-            return "M[%s,%s]" % ("".join(map(str, self.U)), "".join(map(str, self.L)))
-        return "M[%s;%s]" % (
-            ",".join(map(str, self.U)),
-            ",".join(map(str, self.L)),
-        )
+        join, sep = ("", ",") if self.n <= 9 else (",", ";")
+        return f"M[{join.join(map(str, self.U))}{sep}{join.join(map(str, self.L))}]"
 
 
 @dataclass(frozen=True)
@@ -219,9 +215,7 @@ def lpfm_interval(flag: LPFMFlag) -> BruhatInterval:
         for a, b in zip(ch, ch[1:]):
             if not a < b:
                 raise DomainError(f"{name}-steps of the flag do not form a chain")
-    tau_l = bruhat_permutation_of_chain(l_chain)
-    tau_u = bruhat_permutation_of_chain(u_chain)
-    return BruhatInterval(tau_l, tau_u)
+    return BruhatInterval(*map(bruhat_permutation_of_chain, (l_chain, u_chain)))
 
 
 def flag_of_interval(iv: BruhatInterval):
@@ -232,24 +226,57 @@ def flag_of_interval(iv: BruhatInterval):
     True iff every family is recognized by :func:`is_lpm`.  Neither an exchange
     test (an LPM is a matroid) nor a quotient test is needed: a Bruhat interval
     polytope is a flag matroid polytope (Tsukerman-Williams).
+
+    No member is listed.  Inversion is an automorphism of the Bruhat order, so
+    z runs over [u, v] exactly when w = z^-1 runs over [u^-1, v^-1].  The
+    positions of the i largest values of z are z^-1({n-i+1, ..., n}), the
+    values w takes at its last i positions: [n] minus w's prefix value set of
+    size n - i.  So constituent i is the complements of the size-(n - i) sets
+    of the prefix-set lattice of [u^-1, v^-1].  For the verdict, let U and L be
+    the coordinatewise min and max of the sorted sets of a family F; every set
+    of F lies between them, so F is inside the Gale interval [U, L].  An LPM
+    M[U', L'] has U' and L' as bases, which bound every basis, so U' = U and
+    L' = L: F is an LPM exactly when F is all of [U, L], that is when |F|
+    equals the number of lattice paths from U to L.
     """
-    return _flag_of_members(iv.n, bruhat_interval(iv.lo, iv.hi))
-
-
-def _flag_of_members(n: int, members):
-    """flag_of_interval on an interval's member tuple."""
-    families = [set() for _ in range(n)]  # i - 1 -> bitmasks of top-i value positions
-    for z in members:
-        where = [0] * n  # where[j]: the bit of the position of value n - j
-        for p, x in enumerate(z):
-            where[n - x] = 1 << p
-        for fam, mask in zip(families, accumulate(where, or_)):
-            fam.add(mask)
+    families = _flag_families(iv)
     matroids = tuple(
-        SetMatroid(n, frozenset(frozenset(p + 1 for p in range(n) if m >> p & 1) for m in fam), i)
-        for i, fam in enumerate(families, start=1)
+        SetMatroid(iv.n, frozenset(map(frozenset, f)), i) for i, f in enumerate(families, 1)
     )
-    return matroids, all(is_lpm(m) is not None for m in matroids)
+    return matroids, all(map(_is_lpm_family, families))
+
+
+def is_lpfm_interval(iv: BruhatInterval) -> bool:
+    """The verdict of :func:`flag_of_interval`, without building matroids."""
+    return all(map(_is_lpm_family, _flag_families(iv)))
+
+
+def _flag_families(iv: BruhatInterval) -> list[list[tuple[int, ...]]]:
+    """Constituent i - 1 -> its bases as sorted tuples; see flag_of_interval."""
+    n = iv.n
+    if n > MAX_LATTICE_N:
+        raise DomainError(f"flag_of_interval needs n <= {MAX_LATTICE_N}, got n={n}")
+    inverses = ([p for _, p in sorted(zip(w, range(1, n + 1)))] for w in (iv.lo, iv.hi))
+    layers = _prefix_lattice(*inverses)
+    return [
+        [tuple(p + 1 for p in range(n) if not m >> p & 1) for m in layers[n - i]]
+        for i in range(1, n + 1)
+    ]
+
+
+def _is_lpm_family(family: list[tuple[int, ...]]) -> bool:
+    """is_lpm on a nonempty family of sorted k-tuples, by counting paths."""
+    rows = list(zip(*family))
+    return len(family) == _gale_count(tuple(map(min, rows)), tuple(map(max, rows)))
+
+
+@lru_cache(maxsize=None)
+def _gale_count(upper: tuple[int, ...], lower: tuple[int, ...]) -> int:
+    """Number of increasing tuples b with upper <= b <= lower coordinatewise."""
+    ends = [1] * (lower[-1] + 1)  # ends[b]: the tuples so far that end at or below b
+    for lo, hi in zip(upper, lower):
+        ends = list(accumulate(ends[b - 1] if lo <= b <= hi else 0 for b in range(len(ends))))
+    return ends[-1]
 
 
 # --- JSON forms -------------------------------------------------------------

@@ -26,9 +26,13 @@ Chain = tuple[frozenset[int], ...]
 # largest n that bruhat_interval accepts: at n=9, [e, w0] alone has 362,880 members
 MAX_INTERVAL_N = 8
 
+# largest n that flag_of_interval accepts, the largest whose counts fit _WEIGHT's
+# fields: its _prefix_lattice pass on [e, w0] visits all 2^16 sets, in about a second
+MAX_LATTICE_N = 16
+
 # _WEIGHT[x] counts value x once for each threshold t = 2..x, in five-bit fields:
-# a count (at most 7) in four bits, and a guard bit for bruhat_interval's borrow test
-_WEIGHT = tuple(sum(1 << 5 * t for t in range(x - 1)) for x in range(MAX_INTERVAL_N + 1))
+# a count (at most n - 1 <= 15) in four bits, and a guard bit for the borrow test
+_WEIGHT = tuple(sum(1 << 5 * t for t in range(x - 1)) for x in range(MAX_LATTICE_N + 1))
 
 
 def perm(values) -> Perm:
@@ -65,17 +69,13 @@ def bruhat_covers(p: Perm) -> frozenset[Perm]:
     >>> sorted(bruhat_covers((1, 3, 2)))
     [(2, 3, 1), (3, 1, 2)]
     """
-    n = len(p)
-    lp = length(p)
-    out = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            q = list(p)
-            q[i], q[j] = q[j], q[i]
-            q = tuple(q)
-            if length(q) == lp + 1:
-                out.add(q)
-    return frozenset(out)
+    p, n = tuple(p), len(p)
+    above = length(p) + 1
+    swaps = (
+        p[:i] + p[j : j + 1] + p[i + 1 : j] + p[i : i + 1] + p[j + 1 :]
+        for i in range(n) for j in range(i + 1, n)
+    )
+    return frozenset(q for q in swaps if length(q) == above)
 
 
 @lru_cache(maxsize=262144)
@@ -97,44 +97,61 @@ def bruhat_leq(u: Perm, v: Perm) -> bool:
     return True
 
 
-def bruhat_interval(u: Perm, v: Perm) -> tuple[Perm, ...]:
-    """All z with u <= z <= v, sorted lexicographically.
+def _prefix_lattice(u: Perm, v: Perm) -> list[dict[int, list]]:
+    """``layers[k]``: each size-k prefix value set of a member of [u, v] (bit
+    x - 1 for value x) -> its steps ``((x,), superset)``, in increasing x.
 
-    Enumerated over the prefix value sets that bruhat_leq's criterion allows
-    between u's and v's, in O(2^n n + n |[u, v]|) rather than n! steps.  Halves
-    are built once per live set, so nearly every tuple made is a member.
+    z is a member iff each prefix value set of z passes bruhat_leq's criterion,
+    so the members are the chains of such sets from the empty set to [n].  A
+    set is on one iff it is live backward from [n] and reachable forward from
+    the empty set: one O(2^n n) pass each way.
     """
     n = len(u)
-    if n > MAX_INTERVAL_N:
-        raise DomainError(f"bruhat_interval needs n <= {MAX_INTERVAL_N}, got n={n}")
     if len(v) != n:
         raise DomainError(f"mismatched sizes: {n} vs {len(v)}")
     guard = _WEIGHT[n] << 4
     low = list(accumulate((_WEIGHT[x] for x in u), initial=0))
     high = [c | guard for c in accumulate((_WEIGHT[x] for x in v), initial=0)]
-    full, half = (1 << n) - 1, n // 2
+    full = (1 << n) - 1
     layer = {full: low[n]}  # live sets of one size -> packed counts
-    steps = {}  # live set -> ((value,), live set one value larger), by value
-    tails = {full: [()]}  # live set of size >= half -> its completions, sorted
+    steps = {full: []}  # live set -> its steps to live sets one value larger
     for k in range(n - 1, -1, -1):
-        below = {}
+        below, lo, hi = {}, low[k], high[k]
         for x in range(1, n + 1):
+            bit, weight, value = 1 << x - 1, _WEIGHT[x], (x,)
             for m, c in layer.items():
-                if m >> x - 1 & 1:
-                    a, ca = m ^ 1 << x - 1, c - _WEIGHT[x]
+                if m & bit:
+                    a, ca = m ^ bit, c - weight
                     # a guard bit survives a subtraction iff its field did not borrow
-                    if (ca | guard) - low[k] & guard == guard and high[k] - ca & guard == guard:
+                    if (ca | guard) - lo & guard == guard and hi - ca & guard == guard:
                         below[a] = ca
-                        steps.setdefault(a, []).append(((x,), m))
-        if k >= half:
-            for a in below:
-                tails[a] = [x + t for x, m in steps[a] for t in tails[m]]
+                        steps.setdefault(a, []).append((value, m))
         layer = below
     if not layer:  # the empty set is live iff u itself is a member
         raise DomainError(f"{u} is not <= {v} in Bruhat order")
+    layers = [{0: steps[0]}]
+    for _ in range(n):
+        layers.append({m: steps[m] for out in layers[-1].values() for _, m in out})
+    return layers
+
+
+def bruhat_interval(u: Perm, v: Perm) -> tuple[Perm, ...]:
+    """All z with u <= z <= v, sorted lexicographically.
+
+    Joins halves over the members' prefix value sets (:func:`_prefix_lattice`),
+    each built once per set, in O(2^n n + n |[u, v]|) rather than n! steps.
+    """
+    n = len(u)
+    if n > MAX_INTERVAL_N:
+        raise DomainError(f"bruhat_interval needs n <= {MAX_INTERVAL_N}, got n={n}")
+    layers = _prefix_lattice(u, v)
+    tails = {(1 << n) - 1: [()]}  # set of size >= n // 2 -> its completions, sorted
+    for layer in reversed(layers[n // 2 : n]):
+        for a, out in layer.items():
+            tails[a] = [x + t for x, m in out for t in tails[m]]
     heads = [((), 0)]  # first halves of the members, with their value sets
-    for _ in range(half):
-        heads = [(p + x, c) for p, m in heads for x, c in steps[m]]
+    for layer in layers[: n // 2]:
+        heads = [(p + x, m) for p, a in heads for x, m in layer[a]]
     return tuple([p + t for p, m in heads for t in tails[m]])
 
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, gcd, lcm
+from operator import index
 
 from .errors import DomainError
 from .matroid import _eliminate, _matrix_rank_int, is_quotient
@@ -66,12 +67,6 @@ class Face2D:
 class VertexEnumeration:
     points: tuple[Point, ...]
     diagnostic: str | None = None
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __len__(self):
-        return len(self.points)
 
 
 @lru_cache(maxsize=None)
@@ -166,23 +161,15 @@ def flag_polytope_vertices(constituents) -> frozenset[Point]:
     for a, b in zip(parts, parts[1:]):
         if not is_quotient(a, b):
             raise DomainError("consecutive constituents are not quotients")
-    base_lists = [sorted(m.bases, key=lambda s: tuple(sorted(s))) for m in parts]
-    points = set()
-
-    def rec(level, prev, acc):
-        if level == len(parts):
-            points.add(tuple(acc))
-            return
-        for b in base_lists[level]:
-            if prev is not None and not prev <= b:
-                continue
-            nxt = list(acc)
-            for i in b:
-                nxt[i - 1] += 1
-            rec(level + 1, b, nxt)
-
-    rec(0, None, [0] * n)
-    return frozenset(points)
+    chains = [(frozenset(), (0,) * n)]  # (last basis, indicator sum) per chain so far
+    for m in parts:
+        chains = [
+            (b, tuple(x + (i in b) for i, x in enumerate(acc, start=1)))
+            for prev, acc in chains
+            for b in m.bases
+            if prev <= b
+        ]
+    return frozenset(acc for _, acc in chains)
 
 
 def is_bip(points) -> BruhatInterval | None:
@@ -339,8 +326,12 @@ def constraint_to_json(c: LinearConstraint) -> dict:
 
 def constraint_from_json(doc: dict) -> LinearConstraint:
     try:
-        return LinearConstraint(frozenset(doc["S"]), doc["sense"], Fraction(doc["level"]))
-    except (KeyError, TypeError) as exc:
+        # Fraction would read 2.7 as a binary float and true as 1
+        if isinstance(doc["level"], (bool, float)):
+            raise TypeError(f"level must be an integer or a fraction text, got {doc['level']!r}")
+        support = frozenset(map(index, doc["S"]))
+        return LinearConstraint(support, doc["sense"], Fraction(doc["level"]))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"malformed constraint document: {exc}") from exc
 
 

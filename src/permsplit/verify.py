@@ -2,7 +2,8 @@
 
 Each check cross-validates a library operation against a second computation
 route: cover-graph reachability for the Bruhat order, its intervals and
-their flags, dynamic programming for lattice-path counts, random rational
+their flags, the Grassmann-necklace test for the flags' positroids, dynamic
+programming for lattice-path counts, random rational
 matrices for matroid quotients, and exhaustive flag enumeration for the
 interval/polytope correspondence.
 The CLI ``verify`` subcommand and the acceptance tests both run these.
@@ -261,6 +262,50 @@ def check_flag_oracle(n: int, seed: int = 0) -> CheckResult:
         matroids, got = flag_of_interval(BruhatInterval(u, v))
         bad += (list(matroids), got) != (oracle, verdict)
     return _result(f"flag-oracle[n={n}]", bad == 0, f"{mode}, {bad} mismatches")
+
+
+def is_positroid(n: int, bases) -> bool:
+    """Oh's test, with no use of is_lpm: a positroid's bases are exactly the
+    k-sets that lie above every set of its Grassmann necklace, each in its
+    cyclically shifted Gale order (Postnikov 2006; Oh 2011).
+
+    Necklace set i is the lexicographically least basis in the order
+    i < i+1 < ... < n < 1 < ... < i-1, in which ``shifted`` lists a set.
+    """
+    family = {frozenset(b) for b in bases}
+    k = len(next(iter(family)))
+
+    def shifted(b, i):
+        return sorted((x - i) % n for x in b)
+
+    necklace = [min(shifted(b, i) for b in family) for i in range(1, n + 1)]
+    envelope = {
+        frozenset(c)
+        for c in combinations(range(1, n + 1), k)
+        if all(
+            all(a <= b for a, b in zip(low, shifted(c, i)))
+            for i, low in enumerate(necklace, start=1)
+        )
+    }
+    return envelope == family
+
+
+def check_flag_positroid(n: int) -> CheckResult:
+    """Every constituent of both cells of every good split is a positroid,
+    as the flags of the totally nonnegative flag variety are."""
+    cells = [cell for h in theorem_hyperplanes(n) for cell in check_split(h).cells]
+    bad = [
+        f"{m.rank}-constituent of [{''.join(map(str, cell.lo))}, {''.join(map(str, cell.hi))}]"
+        for cell in cells
+        for m in flag_of_interval(cell)[0]
+        if not is_positroid(n, m.bases)
+    ]
+    return _result(
+        f"flag-positroid[n={n}]",
+        not bad,
+        f"{len(cells)} cells, {n * len(cells)} constituents, {len(bad)} not positroids"
+        + (f" (first: {bad[0]})" if bad else ""),
+    )
 
 
 def check_interval_polytope_match(n: int, seed: int = 0) -> CheckResult:
@@ -539,6 +584,7 @@ def run_checks(n: int, seed: int = 0) -> list[CheckResult]:
         check_bruhat_oracle(n),
         check_interval_oracle(n, seed=seed),
         check_flag_oracle(n, seed=seed),
+        check_flag_positroid(n),
         check_interval_polytope_match(n, seed=seed),
         check_theorem_hyperplanes(n),
         check_classification(n),

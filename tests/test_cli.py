@@ -1,9 +1,12 @@
 import json
+import time
 
 import pytest
 
 from permsplit import SplitHyperplane
 from permsplit.cli import UsageError, main, parse_hyperplane
+from permsplit.perm import MAX_LATTICE_N
+from permsplit.splits import MAX_SCAN_N
 
 
 def run(capsys, *argv):
@@ -164,8 +167,8 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_size_limits_exit_code(capsys):
-    code, out, err = run(capsys, "split", "scan", "-n", "12")
-    assert code == 1 and not out and "n <= 7" in err
+    code, out, err = run(capsys, "split", "scan", "-n", str(MAX_SCAN_N + 1))
+    assert code == 1 and not out and f"n <= {MAX_SCAN_N}" in err
     code, out, err = run(capsys, "bruhat", "interval", "123456789", "987654321")
     assert code == 1 and not out and "n <= 8" in err
     code, out, err = run(capsys, "split", "check", "-n", "9", "x1+x2=7")
@@ -174,6 +177,25 @@ def test_size_limits_exit_code(capsys):
     assert code == 1 and not out and "n <= 4" in err
     code, out, err = run(capsys, "verify", "-n", "6")
     assert code == 1 and not out and "n <= 5" in err
+
+
+def test_scan_above_its_bound_exits_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "split", "scan", "-n", str(MAX_SCAN_N + 1))
+    assert time.perf_counter() - start < 5
+    assert code == 1 and not out and "Traceback" not in err
+    assert f"3 <= n <= {MAX_SCAN_N}" in err
+
+
+def test_flag_of_interval_comma_form(capsys):
+    up, down = ",".join(map(str, range(1, 11))), ",".join(map(str, range(10, 0, -1)))
+    code, out, _ = run(capsys, "flag", "of-interval", up, down)
+    assert code == 0 and out.splitlines()[1].split() == ["rank", "2", "45", "bases"]
+    assert out.splitlines()[-1].split() == ["lpfm", "true"]
+    n = MAX_LATTICE_N + 1
+    up, down = ",".join(map(str, range(1, n + 1))), ",".join(map(str, range(n, 0, -1)))
+    code, out, err = run(capsys, "flag", "of-interval", up, down)
+    assert code == 1 and not out and f"n <= {MAX_LATTICE_N}" in err
 
 
 def test_malformed_json_exit_code(capsys):

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -26,7 +27,14 @@ from permsplit import (
     uniform_lpm,
     uniform_matroid,
 )
-from permsplit.lpm import flag_from_json, flag_to_json, lpm_from_json, lpm_to_json
+from permsplit.lpm import (
+    _flag_families,
+    _is_lpm_family,
+    flag_from_json,
+    flag_to_json,
+    lpm_from_json,
+    lpm_to_json,
+)
 from permsplit.matroid import SetMatroid, exchange_violation
 from permsplit.perm import bruhat_leq
 from permsplit.polytope import permutahedron_vertices
@@ -218,6 +226,50 @@ def test_flag_of_interval_matches_exchange_reference():
     assert all(verdicts[len(small):])
 
 
+def test_path_count_verdict_matches_is_lpm():
+    # every comparable pair at n <= 5, and a seeded sample at n = 6..8
+    pairs = [
+        (u, v)
+        for n in range(1, 6)
+        for u in permutahedron_vertices(n)
+        for v in permutahedron_vertices(n)
+        if bruhat_leq(u, v)
+    ]
+    rng = random.Random(20261018)
+    for n in (6, 7, 8):
+        sampled = 0
+        while sampled < 15:
+            u, v = (tuple(rng.sample(range(1, n + 1), n)) for _ in range(2))
+            if bruhat_leq(v, u):
+                u, v = v, u
+            if bruhat_leq(u, v):
+                pairs.append((u, v))
+                sampled += 1
+    verdicts = set()
+    for u, v in pairs:
+        iv = BruhatInterval(u, v)
+        matroids, verdict = flag_of_interval(iv)
+        families = _flag_families(iv)
+        got = [_is_lpm_family(fam) for fam in families]
+        assert got == [is_lpm(m) is not None for m in matroids], iv
+        assert verdict == all(got)
+        verdicts.update(got)
+    assert verdicts == {True, False}
+
+
+def test_flag_of_interval_size_limit():
+    # no member is listed, so [e, w0] is quick far beyond bruhat_interval's bound
+    for n in (10, 12):
+        matroids, verdict = flag_of_interval(BruhatInterval(identity(n), longest(n)))
+        assert verdict and [len(m.bases) for m in matroids[:2]] == [n, n * (n - 1) // 2]
+    # at the bound every count still fits its field: [e, s_1] has members e and s_1
+    s1 = (2, 1) + tuple(range(3, 17))
+    matroids, verdict = flag_of_interval(BruhatInterval(identity(16), s1))
+    assert verdict and [len(m.bases) for m in matroids] == [1] * 14 + [2, 1]
+    with pytest.raises(DomainError, match="n <= 16"):
+        flag_of_interval(BruhatInterval(identity(17), longest(17)))
+
+
 def test_json_round_trips():
     m = lpm_new(8, (1, 2, 4, 6), (3, 5, 6, 8))
     assert lpm_from_json(lpm_to_json(m)) == m
@@ -233,3 +285,23 @@ def test_flag_oracle_check(monkeypatch):
     # the oracle is not vacuous: a flag_of_interval that accepts everything fails it
     monkeypatch.setattr(verify, "flag_of_interval", lambda iv: (flag_of_interval(iv)[0], True))
     assert not verify.check_flag_oracle(4).passed
+
+
+def test_flag_positroid_check(monkeypatch):
+    from permsplit import verify
+
+    result = verify.check_flag_positroid(4)
+    assert result.passed and result.detail == "12 cells, 48 constituents, 0 not positroids"
+    # 1 parallel to 3 and 2 to 4: crossing parallel classes, so no positroid
+    bases = frozenset(map(frozenset, ({1, 2}, {1, 4}, {2, 3}, {3, 4})))
+    crossing = SetMatroid(n=4, bases=bases, rank=2)
+    assert not verify.is_positroid(4, crossing.bases)
+    assert verify.is_positroid(4, uniform_matroid(2, 4).bases)
+
+    def fed(iv):
+        matroids, verdict = flag_of_interval(iv)
+        return (matroids[0], crossing) + matroids[2:], verdict
+
+    monkeypatch.setattr(verify, "flag_of_interval", fed)
+    result = verify.check_flag_positroid(4)
+    assert not result.passed and "12 not positroids" in result.detail

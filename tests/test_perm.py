@@ -25,6 +25,7 @@ from permsplit import (
     perm_to_str,
     set_sequences,
 )
+from permsplit.perm import _prefix_lattice
 
 
 def brute_inversions(p):
@@ -160,6 +161,24 @@ def test_interval_matches_filter_property(pair):
             bruhat_interval(u, v)
 
 
+def test_prefix_lattice_is_the_members_prefix_sets():
+    # the lattice's sets, by size, against the prefix value sets of the members
+    # filtered from all of S_n, on every comparable pair
+    for n in range(1, 6):
+        perms = list(permutations(range(1, n + 1)))
+        above = {u: {v for v in perms if bruhat_leq(u, v)} for u in perms}
+        for u in perms:
+            for v in above[u]:
+                members = [z for z in perms if z in above[u] and v in above[z]]
+                layers = _prefix_lattice(u, v)
+                assert len(layers) == n + 1
+                for k, layer in enumerate(layers):
+                    prefixes = {sum(1 << x - 1 for x in z[:k]) for z in members}
+                    assert set(layer) == prefixes, (u, v, k)
+                    for a, out in layer.items():
+                        assert all(m == a | 1 << x - 1 and m in layers[k + 1] for (x,), m in out)
+
+
 def test_dual_permutation():
     assert dual_permutation((3, 1, 6, 5, 4, 2)) == (4, 6, 1, 2, 3, 5)
     assert dual_permutation((1, 3, 2, 4, 5, 6)) == (6, 4, 5, 3, 2, 1)
@@ -237,3 +256,12 @@ def test_text_forms():
     assert perm_from_str(perm_to_str(big)) == big
     with pytest.raises(DomainError):
         perm_from_str("31x2")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(10, 30).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_text_round_trip_comma_form(values):
+    p = tuple(values)
+    text = perm_to_str(p)
+    assert text == ",".join(map(str, p))
+    assert perm_from_str(text) == p

@@ -382,6 +382,17 @@ def test_point_and_constraint_json():
     assert point_from_json(point_to_json(p)) == p
     c = LinearConstraint(frozenset({1, 3}), ">=", Fraction(3))
     assert constraint_from_json(constraint_to_json(c)) == c
+    half = LinearConstraint(frozenset({2}), "<=", Fraction(9, 2))
+    assert constraint_from_json(constraint_to_json(half)) == half
+    assert constraint_from_json({"S": [2], "sense": "<=", "level": 3}).level == 3
+
+
+@pytest.mark.parametrize(
+    "level", [2.7, "x", True, "1/0", None], ids=["float", "text", "bool", "zero-den", "null"]
+)
+def test_malformed_constraint_document(level):
+    with pytest.raises(DomainError, match="malformed constraint document"):
+        constraint_from_json({"S": [1, 2], "sense": "<=", "level": level})
 
 
 def test_lpm_basis_count_matches_dp():

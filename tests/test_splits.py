@@ -187,6 +187,13 @@ def test_exhaustive_scan_size_limit():
         exhaustive_scan(MAX_SCAN_N + 1)
 
 
+def test_exhaustive_scan_beyond_the_faces():
+    # no faces are built, so the scan reaches n far above faces_2d's reach
+    for n in range(8, 13):
+        expected = tuple(sorted(theorem_hyperplanes(n), key=SplitHyperplane.sort_key))
+        assert exhaustive_scan(n) == expected, n
+
+
 @lru_cache(maxsize=None)
 def _faces_with_vertices(n):
     return tuple((f, face_vertices(f, n)) for f in faces_2d(n))
@@ -266,3 +273,14 @@ def test_check_split_against_independent_oracles(h):
 def test_json_round_trip():
     h = H(5, {1, 2}, 8)
     assert hyperplane_from_json(hyperplane_to_json(h), 5) == h
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"S": [1], "alpha": 2.7}, {"S": [1], "alpha": "x"}, {"S": [1], "alpha": True},
+     {"S": [1.5], "alpha": 2}, {"S": ["x"], "alpha": 2}, {"S": [1]}],
+    ids=["alpha-float", "alpha-text", "alpha-bool", "S-float", "S-text", "no-alpha"],
+)
+def test_malformed_hyperplane_document(doc):
+    with pytest.raises(DomainError, match="malformed hyperplane document"):
+        hyperplane_from_json(doc, 4)
