@@ -137,7 +137,11 @@ def _cmd_bruhat(args) -> int:
     elif args.action == "interval":
         u, v = perm_from_str(args.perms[0]), perm_from_str(args.perms[1])
         members = [perm_to_str(p) for p in bruhat_interval(u, v)]
-        _emit({"lo": perm_to_str(u), "hi": perm_to_str(v), "members": members}, members, fmt)
+        _emit(
+            {"lo": perm_to_str(u), "hi": perm_to_str(v), "members": members},
+            members,
+            fmt,
+        )
     else:  # dual
         if len(args.perms) > 2:
             raise UsageError("dual takes one permutation or an interval pair")
@@ -145,17 +149,21 @@ def _cmd_bruhat(args) -> int:
             d = dual_permutation(perm_from_str(args.perms[0]))
             _emit({"dual": perm_to_str(d)}, [("dual", perm_to_str(d))], fmt)
         else:
-            d = dual_interval(BruhatInterval(*map(perm_from_str, args.perms)))
-            rows = [("lo", perm_to_str(d.lo)), ("hi", perm_to_str(d.hi))]
-            _emit({"dual": _interval_json(d)}, rows, fmt)
+            iv = BruhatInterval(perm_from_str(args.perms[0]), perm_from_str(args.perms[1]))
+            d = dual_interval(iv)
+            _emit(
+                {"dual": _interval_json(d)},
+                [("lo", perm_to_str(d.lo)), ("hi", perm_to_str(d.hi))],
+                fmt,
+            )
     return 0
 
 
 def _cmd_lpm(args) -> int:
     fmt = args.format
     n = args.n
-    m = lpm_mod.lpm_new(n, _subset_from_str(args.args[0]), _subset_from_str(args.args[1]))
     if args.action == "bases":
+        m = lpm_mod.lpm_new(n, _subset_from_str(args.args[0]), _subset_from_str(args.args[1]))
         bases = sorted(tuple(sorted(b)) for b in lpm_mod.lpm_bases(m))
         _emit(
             {"lpm": lpm_mod.lpm_to_json(m), "bases": [list(b) for b in bases],
@@ -164,6 +172,7 @@ def _cmd_lpm(args) -> int:
             fmt,
         )
     elif args.action == "good-pairs":
+        m = lpm_mod.lpm_new(n, _subset_from_str(args.args[0]), _subset_from_str(args.args[1]))
         pairs = lpm_mod.good_pairs(m)
         _emit(
             {"pairs": [{"u": p.u, "l": p.l, "j": p.j, "i": p.i} for p in pairs]},
@@ -171,6 +180,7 @@ def _cmd_lpm(args) -> int:
             fmt,
         )
     elif args.action == "quotient":
+        m = lpm_mod.lpm_new(n, _subset_from_str(args.args[0]), _subset_from_str(args.args[1]))
         try:
             u, l = (int(t) for t in args.pair.split(","))
         except ValueError as exc:
@@ -178,8 +188,9 @@ def _cmd_lpm(args) -> int:
         q = lpm_mod.elementary_quotient(m, lpm_mod.good_pair(m, u, l))
         _emit({"quotient": lpm_mod.lpm_to_json(q)}, [("quotient", str(q))], fmt)
     else:  # chain
+        lo = lpm_mod.lpm_new(n, _subset_from_str(args.args[0]), _subset_from_str(args.args[1]))
         hi = lpm_mod.lpm_new(n, _subset_from_str(args.args[2]), _subset_from_str(args.args[3]))
-        chain = lpm_mod.quotient_chain(m, hi)
+        chain = lpm_mod.quotient_chain(lo, hi)
         if chain is None:
             _emit({"chain": None}, [("chain", "none")], fmt)
         else:
@@ -197,23 +208,15 @@ def _cmd_lpm(args) -> int:
 
 def _cmd_matroid(args) -> int:
     fmt = args.format
-    doc = _read_doc(args.docs[0])
-    if args.action == "from-matrix":
-        m = matroid_mod.matroid_from_rational_matrix(matroid_mod.matrix_from_json(doc))
-        _emit(
-            {"matroid": matroid_mod.matroid_to_json(m)},
-            [("rank", str(m.rank)), ("bases", str(len(m.bases)))],
-            fmt,
-        )
-        return 0
-    m = matroid_mod.matroid_from_json(doc)
     if args.action == "validate":
+        m = matroid_mod.matroid_from_json(_read_doc(args.docs[0]))
         _emit(
             {"ok": True, "n": m.n, "rank": m.rank, "bases": len(m.bases)},
             [("ok", "true"), ("rank", str(m.rank)), ("bases", str(len(m.bases)))],
             fmt,
         )
     elif args.action == "circuits":
+        m = matroid_mod.matroid_from_json(_read_doc(args.docs[0]))
         circs = sorted(tuple(sorted(c)) for c in matroid_mod.circuits(m))
         _emit(
             {"circuits": [list(c) for c in circs]},
@@ -221,19 +224,34 @@ def _cmd_matroid(args) -> int:
             fmt,
         )
     elif args.action == "flats":
+        m = matroid_mod.matroid_from_json(_read_doc(args.docs[0]))
         fl = sorted((len(f), tuple(sorted(f))) for f in matroid_mod.flats(m))
         _emit(
             {"flats": [list(f) for _, f in fl]},
             [",".join(map(str, f)) if f else "{}" for _, f in fl],
             fmt,
         )
-    else:  # quotient-check
+    elif args.action == "quotient-check":
+        m = matroid_mod.matroid_from_json(_read_doc(args.docs[0]))
         big = matroid_mod.matroid_from_json(_read_doc(args.docs[1]))
-        criteria = (1, 2, 3) if args.criterion == "all" else (int(args.criterion),)
-        verdicts = {str(c): matroid_mod.is_quotient(m, big, c) for c in criteria}
+        if args.criterion == "all":
+            verdicts = {
+                str(c): matroid_mod.is_quotient(m, big, c) for c in (1, 2, 3)
+            }
+        else:
+            c = int(args.criterion)
+            verdicts = {str(c): matroid_mod.is_quotient(m, big, c)}
         _emit(
             {"quotient": verdicts},
             [(f"criterion {k}", str(v).lower()) for k, v in verdicts.items()],
+            fmt,
+        )
+    else:  # from-matrix
+        rows = matroid_mod.matrix_from_json(_read_doc(args.docs[0]))
+        m = matroid_mod.matroid_from_rational_matrix(rows)
+        _emit(
+            {"matroid": matroid_mod.matroid_to_json(m)},
+            [("rank", str(m.rank)), ("bases", str(len(m.bases)))],
             fmt,
         )
     return 0
@@ -288,9 +306,10 @@ def _cmd_split(args) -> int:
         rows = [("verdict", report.verdict)]
         if report.cells:
             rows += [
-                (f"cell({side})", f"[{perm_to_str(c.lo)}, {perm_to_str(c.hi)}]")
-                for side, c in zip("ew", report.cells)
-            ] + [("lpfm", f"{report.lpfm[0]}, {report.lpfm[1]}".lower())]
+                ("cell(e)", f"[{perm_to_str(report.cells[0].lo)}, {perm_to_str(report.cells[0].hi)}]"),
+                ("cell(w)", f"[{perm_to_str(report.cells[1].lo)}, {perm_to_str(report.cells[1].hi)}]"),
+                ("lpfm", f"{report.lpfm[0]}, {report.lpfm[1]}".lower()),
+            ]
         if report.offending_face is not None:
             rows.append(("face", str(report.offending_face.blocks)))
         if report.reason:

@@ -26,8 +26,12 @@ class LatticePathMatroid:
     L: tuple[int, ...]
 
     def __str__(self):
-        join, sep = ("", ",") if self.n <= 9 else (",", ";")
-        return f"M[{join.join(map(str, self.U))}{sep}{join.join(map(str, self.L))}]"
+        if self.n <= 9:
+            return "M[%s,%s]" % ("".join(map(str, self.U)), "".join(map(str, self.L)))
+        return "M[%s;%s]" % (
+            ",".join(map(str, self.U)),
+            ",".join(map(str, self.L)),
+        )
 
 
 @dataclass(frozen=True)
@@ -215,7 +219,9 @@ def lpfm_interval(flag: LPFMFlag) -> BruhatInterval:
         for a, b in zip(ch, ch[1:]):
             if not a < b:
                 raise DomainError(f"{name}-steps of the flag do not form a chain")
-    return BruhatInterval(*map(bruhat_permutation_of_chain, (l_chain, u_chain)))
+    tau_l = bruhat_permutation_of_chain(l_chain)
+    tau_u = bruhat_permutation_of_chain(u_chain)
+    return BruhatInterval(tau_l, tau_u)
 
 
 def flag_of_interval(iv: BruhatInterval):
@@ -244,11 +250,6 @@ def flag_of_interval(iv: BruhatInterval):
         SetMatroid(iv.n, frozenset(map(frozenset, f)), i) for i, f in enumerate(families, 1)
     )
     return matroids, all(map(_is_lpm_family, families))
-
-
-def is_lpfm_interval(iv: BruhatInterval) -> bool:
-    """The verdict of :func:`flag_of_interval`, without building matroids."""
-    return all(map(_is_lpm_family, _flag_families(iv)))
 
 
 def _flag_families(iv: BruhatInterval) -> list[list[tuple[int, ...]]]:

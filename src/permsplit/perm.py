@@ -69,13 +69,17 @@ def bruhat_covers(p: Perm) -> frozenset[Perm]:
     >>> sorted(bruhat_covers((1, 3, 2)))
     [(2, 3, 1), (3, 1, 2)]
     """
-    p, n = tuple(p), len(p)
-    above = length(p) + 1
-    swaps = (
-        p[:i] + p[j : j + 1] + p[i + 1 : j] + p[i : i + 1] + p[j + 1 :]
-        for i in range(n) for j in range(i + 1, n)
-    )
-    return frozenset(q for q in swaps if length(q) == above)
+    n = len(p)
+    lp = length(p)
+    out = set()
+    for i in range(n):
+        for j in range(i + 1, n):
+            q = list(p)
+            q[i], q[j] = q[j], q[i]
+            q = tuple(q)
+            if length(q) == lp + 1:
+                out.add(q)
+    return frozenset(out)
 
 
 @lru_cache(maxsize=262144)

@@ -68,6 +68,12 @@ class VertexEnumeration:
     points: tuple[Point, ...]
     diagnostic: str | None = None
 
+    def __iter__(self):
+        return iter(self.points)
+
+    def __len__(self):
+        return len(self.points)
+
 
 @lru_cache(maxsize=None)
 def permutahedron_vertices(n: int) -> tuple[Perm, ...]:
@@ -161,15 +167,23 @@ def flag_polytope_vertices(constituents) -> frozenset[Point]:
     for a, b in zip(parts, parts[1:]):
         if not is_quotient(a, b):
             raise DomainError("consecutive constituents are not quotients")
-    chains = [(frozenset(), (0,) * n)]  # (last basis, indicator sum) per chain so far
-    for m in parts:
-        chains = [
-            (b, tuple(x + (i in b) for i, x in enumerate(acc, start=1)))
-            for prev, acc in chains
-            for b in m.bases
-            if prev <= b
-        ]
-    return frozenset(acc for _, acc in chains)
+    base_lists = [sorted(m.bases, key=lambda s: tuple(sorted(s))) for m in parts]
+    points = set()
+
+    def rec(level, prev, acc):
+        if level == len(parts):
+            points.add(tuple(acc))
+            return
+        for b in base_lists[level]:
+            if prev is not None and not prev <= b:
+                continue
+            nxt = list(acc)
+            for i in b:
+                nxt[i - 1] += 1
+            rec(level + 1, b, nxt)
+
+    rec(0, None, [0] * n)
+    return frozenset(points)
 
 
 def is_bip(points) -> BruhatInterval | None:

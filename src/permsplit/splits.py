@@ -57,7 +57,7 @@ from math import comb
 from operator import index
 
 from .errors import DomainError
-from .lpm import is_lpfm_interval
+from .lpm import flag_of_interval
 from .perm import MAX_INTERVAL_N, BruhatInterval, dual_interval, identity, longest, set_sequences
 from .polytope import Face2D, _interval_members, faces_2d, permutahedron_vertices
 
@@ -272,11 +272,16 @@ def check_split(h: SplitHyperplane) -> SplitReport:
             f"face conditions passed but a side of x_S={level} is not an interval"
         )
     e = identity(n)
-    (e_cell, _), (w_cell, _) = (side_a, side_b) if side_a[0].lo == e else (side_b, side_a)
+    (e_cell, _), (w_cell, _) = (
+        (side_a, side_b) if side_a[0].lo == e else (side_b, side_a)
+    )
     if e_cell.lo != e or w_cell.hi != longest(n):
         raise RuntimeError("split cells are not anchored at the identity and top")
-    lpfm = (is_lpfm_interval(e_cell), is_lpfm_interval(w_cell))
-    return SplitReport(verdict="good-split", cells=(e_cell, w_cell), lpfm=lpfm)
+    _, lpfm_e = flag_of_interval(e_cell)
+    _, lpfm_w = flag_of_interval(w_cell)
+    return SplitReport(
+        verdict="good-split", cells=(e_cell, w_cell), lpfm=(lpfm_e, lpfm_w)
+    )
 
 
 def _classify(h: SplitHyperplane):
@@ -302,14 +307,27 @@ def predicted_cells(h: SplitHyperplane):
     if family == "prefix-low":
         a = set(range(1, arg)) | {arg + 1}
         inc, dec, e_rest, w_rest = set_sequences(a, n)
-        return BruhatInterval(e, dec + w_rest), BruhatInterval(inc + e_rest, w)
+        return (
+            BruhatInterval(e, dec + w_rest),
+            BruhatInterval(inc + e_rest, w),
+        )
     if family == "prefix-high":
-        lo_cell, hi_cell = predicted_cells(dual_hyperplane(h))
-        return dual_interval(hi_cell), dual_interval(lo_cell)
-    _, _, e_rest, w_rest = set_sequences({level}, n)
-    if arg == 1:
-        return BruhatInterval(e, (level,) + w_rest), BruhatInterval((level,) + e_rest, w)
-    return BruhatInterval(e, w_rest + (level,)), BruhatInterval(e_rest + (level,), w)
+        low_twin = SplitHyperplane(
+            n=n, support=frozenset(range(1, arg + 1)), level=comb(arg + 1, 2) + 1
+        )
+        lo_cell, hi_cell = predicted_cells(low_twin)
+        return (dual_interval(hi_cell), dual_interval(lo_cell))
+    i, r = arg, level
+    _, _, e_rest, w_rest = set_sequences({r}, n)
+    if i == 1:
+        return (
+            BruhatInterval(e, (r,) + w_rest),
+            BruhatInterval((r,) + e_rest, w),
+        )
+    return (
+        BruhatInterval(e, w_rest + (r,)),
+        BruhatInterval(e_rest + (r,), w),
+    )
 
 
 def dual_hyperplane(h: SplitHyperplane) -> SplitHyperplane:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import DomainError
-from .lpm import is_lpfm_interval
+from .lpm import flag_of_interval
 from .perm import BruhatInterval, Perm, bruhat_interval, perm_to_str
 from .polytope import (
     LinearConstraint,
@@ -67,6 +67,10 @@ class SubdivisionRejection:
     witness: tuple  # offending vertex, or the offending cell's vertex tuple
 
 
+def _ordered(hs) -> tuple[SplitHyperplane, ...]:
+    return tuple(sorted(set(hs), key=SplitHyperplane.sort_key))
+
+
 def subdivision_from_hyperplanes(n: int, hs):
     """Cut by every hyperplane at once; accept or reject with a witness.
 
@@ -74,7 +78,7 @@ def subdivision_from_hyperplanes(n: int, hs):
     enumerated exactly; full-dimensional cells must have only permutation
     vertices and interval point sets.
     """
-    hyps = tuple(sorted(set(hs), key=SplitHyperplane.sort_key))
+    hyps = _ordered(hs)
     if not hyps:
         raise DomainError("need at least one hyperplane")
     if any(h.n != n for h in hyps):
@@ -110,9 +114,8 @@ def subdivision_from_hyperplanes(n: int, hs):
                 witness=points,
             )
         interval, members = found
-        cells.append(
-            SubdivisionCell(signs=signs, interval=interval, lpfm=is_lpfm_interval(interval))
-        )
+        _, lpfm_ok = flag_of_interval(interval)
+        cells.append(SubdivisionCell(signs=signs, interval=interval, lpfm=lpfm_ok))
         covered.update(members)
 
     if covered != set(permutahedron_vertices(n)):
