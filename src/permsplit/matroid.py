@@ -204,9 +204,16 @@ def is_quotient(m: SetMatroid, n: SetMatroid, criterion: int = 1) -> bool:
 # --- exact linear algebra, for matrix ingestion and polytope ranks and solves
 
 
+def _exact(x) -> Fraction:
+    # Fraction would read 1.1 as a binary float and true as 1
+    if isinstance(x, (bool, float)):
+        raise TypeError(f"{x!r} is not exact; a matrix document takes integers and fraction texts")
+    return Fraction(x)
+
+
 def _as_fraction_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
     try:
-        mat = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        mat = tuple(tuple(_exact(x) for x in row) for row in rows)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"malformed matrix entry: {exc}") from exc
     if not mat:

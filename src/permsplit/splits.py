@@ -39,9 +39,9 @@ needs: 2 <= k <= n - 2 for a square, mid for {b}, outer for {a, c}.
 'bad-hexagon'
 
 ``check_split`` reads the verdict from the lemma, names the first offending
-2-face of a bad split and builds the two cells of a good one.
-``predicted_cells`` gives the closed-form cells of the family members, and
-``exhaustive_scan`` must recover exactly the families above.
+2-face of a bad split and gives a good one the closed-form cells of
+``predicted_cells``; ``verify`` and the tests compare those with the two
+closed sides.  ``exhaustive_scan`` must recover exactly the families above.
 
 Within the ambient hyperplane sum(x) = n(n+1)/2, the supports S and [n]-S
 with complementary levels describe the same hyperplane; SplitHyperplane
@@ -59,7 +59,7 @@ from operator import index
 from .errors import DomainError
 from .lpm import flag_of_interval
 from .perm import MAX_INTERVAL_N, BruhatInterval, dual_interval, identity, longest, set_sequences
-from .polytope import Face2D, _interval_members, faces_2d, permutahedron_vertices
+from .polytope import Face2D, faces_2d
 
 # largest n that exhaustive_scan accepts: the scan lists all 2^(n-1) canonical
 # supports, which took 8.6 s at n=20 and 41 s at n=22 on a 2-core machine
@@ -249,11 +249,11 @@ def _require_good(h: SplitHyperplane) -> None:
 def check_split(h: SplitHyperplane) -> SplitReport:
     """Classify the split induced by h; all failures are verdicts.
 
-    Cells are built for a good split only; the face conditions make each
-    closed side a Bruhat interval.  Cells need n <= MAX_INTERVAL_N.
+    A good split gets the closed-form ``predicted_cells``.  A bad split names
+    its first offending face in ``faces_2d(n)``, so n <= MAX_INTERVAL_N.
     """
     n, level = h.n, h.level
-    if n > MAX_INTERVAL_N:
+    if n > MAX_INTERVAL_N:  # the bad path builds faces_2d(n)
         raise DomainError(f"check_split needs n <= {MAX_INTERVAL_N}, got n={n}")
     verdict = _verdict(n, h.support, level)
     if verdict == "not-a-split":
@@ -261,32 +261,12 @@ def check_split(h: SplitHyperplane) -> SplitReport:
     if verdict != "good-split":
         face = _offending_face(n, h.support, level, verdict)
         return SplitReport(verdict=verdict, offending_face=face)
-    perms = permutahedron_vertices(n)
-    columns = list(zip(*perms))
-    pairs = list(zip(perms, map(sum, zip(*(columns[i - 1] for i in h.support)))))
-    side_a = _interval_members([p for p, v in pairs if v <= level])
-    side_b = _interval_members([p for p, v in pairs if v >= level])
-    if side_a is None or side_b is None:
-        # the 2-face conditions characterize interval sides; this is unreachable
-        raise RuntimeError(
-            f"face conditions passed but a side of x_S={level} is not an interval"
-        )
-    e = identity(n)
-    (e_cell, _), (w_cell, _) = (
-        (side_a, side_b) if side_a[0].lo == e else (side_b, side_a)
-    )
-    if e_cell.lo != e or w_cell.hi != longest(n):
-        raise RuntimeError("split cells are not anchored at the identity and top")
-    _, lpfm_e = flag_of_interval(e_cell)
-    _, lpfm_w = flag_of_interval(w_cell)
-    return SplitReport(
-        verdict="good-split", cells=(e_cell, w_cell), lpfm=(lpfm_e, lpfm_w)
-    )
-
-
-def _classify(h: SplitHyperplane):
-    """(family, arg, level) of h among the three families, or None."""
-    return _families(h.n).get(h)
+    cells = predicted_cells(h)
+    if cells is None:
+        # unreachable: the tests find the good verdicts are the families at n=3..12
+        raise RuntimeError(f"{h} is a good split outside the theorem's families")
+    lpfm = tuple(flag_of_interval(cell)[1] for cell in cells)
+    return SplitReport(verdict="good-split", cells=cells, lpfm=lpfm)
 
 
 def predicted_cells(h: SplitHyperplane):
@@ -298,7 +278,7 @@ def predicted_cells(h: SplitHyperplane):
     [e, r+w_r] and [r+e_r, w]; x_n = r gives [e, w_r+r] and [e_r+r, w],
     where the identity sits in the x_n >= r cell.
     """
-    kind = _classify(h)
+    kind = _families(h.n).get(h)
     if kind is None:
         return None
     n = h.n

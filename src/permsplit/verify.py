@@ -55,7 +55,7 @@ from .polytope import (
 from .splits import (
     SplitHyperplane,
     _canonical_supports,
-    _classify,
+    _families,
     _support_bounds,
     _verdict,
     check_split,
@@ -332,7 +332,7 @@ def check_interval_polytope_match(n: int, seed: int = 0) -> CheckResult:
 
 
 def check_theorem_hyperplanes(n: int) -> CheckResult:
-    """Every listed hyperplane is a good split with the closed-form cells."""
+    """Every listed hyperplane is a good split whose cells are LPM flags."""
     hyps = theorem_hyperplanes(n)
     problems = []
     for h in hyps:
@@ -340,8 +340,6 @@ def check_theorem_hyperplanes(n: int) -> CheckResult:
         if report.verdict != "good-split":
             problems.append(f"{h}: verdict {report.verdict}")
             continue
-        if report.cells != predicted_cells(h):
-            problems.append(f"{h}: cells differ from the closed form")
         if report.lpfm != (True, True):
             problems.append(f"{h}: cells are not LPM flags")
     detail = f"{len(hyps)} hyperplanes"
@@ -366,7 +364,8 @@ def check_theorem_hyperplanes(n: int) -> CheckResult:
 def check_classification(n: int) -> CheckResult:
     """The exhaustive scan finds exactly the listed hyperplanes, and at every
     canonical support and level strictly inside its range the verdict is
-    good-split exactly when both closed sides are Bruhat intervals."""
+    good-split exactly when both closed sides are Bruhat intervals, which
+    are then the closed-form cells, the identity's side first."""
     scanned = exhaustive_scan(n)
     listed = theorem_hyperplanes(n)
     problems = []
@@ -381,11 +380,19 @@ def check_classification(n: int) -> CheckResult:
         lo, hi = _support_bounds(n, len(s))
         for t in range(lo + 1, hi):
             levels += 1
-            sides = ([p for p, v in zip(perms, values) if side(v, t)] for side in (le, ge))
-            good = all(_interval_members(cell) is not None for cell in sides)
+            sides = [
+                _interval_members([p for p, v in zip(perms, values) if side(v, t)])
+                for side in (le, ge)
+            ]
+            good = None not in sides
+            h = SplitHyperplane(n=n, support=frozenset(s), level=t)
             if good != (_verdict(n, s, t) == "good-split"):
-                h = SplitHyperplane(n=n, support=frozenset(s), level=t)
                 problems.append(f"{h}: verdict disagrees with the sides")
+            elif good:
+                a, b = (iv for iv, _ in sides)
+                cells = (a, b) if a.lo == identity(n) else (b, a)
+                if cells != predicted_cells(h):
+                    problems.append(f"{h}: cells differ from the closed form")
     if n == 4:
         square = check_split(SplitHyperplane(n=4, support=frozenset({1, 2}), level=5))
         hexa = check_split(SplitHyperplane(n=4, support=frozenset({3}), level=3))
@@ -421,8 +428,8 @@ def check_duality(n: int) -> CheckResult:
             n=n, support=frozenset({1}), level=n - r + 1
         ):
             problems.append(f"x1={r}: dual level is not {n - r + 1}")
-    lows = {h for h in good if _classify(h)[0] == "prefix-low"}
-    highs = {h for h in good if _classify(h)[0] == "prefix-high"}
+    lows = {h for h in good if _families(n)[h][0] == "prefix-low"}
+    highs = {h for h in good if _families(n)[h][0] == "prefix-high"}
     if {dual_hyperplane(h) for h in lows} != highs:
         problems.append("duals of low prefix sums are not the high prefix sums")
     # fixed six-element examples

@@ -224,8 +224,13 @@ def test_malformed_pair_exit_code(capsys, pair):
         ("flag", "interval", '{"n":3,"constituents":[{"n":3,"U":["a"],"L":[2]}]}'),
         ("flag", "polytope", '{"n":3,"constituents":[{"n":"q","U":[1],"L":[2]}]}'),
         ("flag", "polytope", '{"n":3,"constituents":[{"n":3,"U":["a"],"L":[2]}]}'),
+        ("matroid", "from-matrix", "[[1.1, 0.3], [3.3, 0.9]]"),
+        ("matroid", "from-matrix", "[[true, 0], [0, 1]]"),
     ],
-    ids=["matroid-n-text", "matroid-n-float", "interval-n", "interval-U", "polytope-n", "polytope-U"],
+    ids=[
+        "matroid-n-text", "matroid-n-float", "interval-n", "interval-U", "polytope-n",
+        "polytope-U", "matrix-float", "matrix-bool",
+    ],
 )
 def test_malformed_json_field_exit_code(capsys, argv):
     # a field of the wrong type is a domain error, neither raised nor truncated

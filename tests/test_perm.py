@@ -196,6 +196,34 @@ def test_dual_reverses_order():
             )
 
 
+@st.composite
+def raised_pairs(draw):
+    # u, any w, and v raised from u by swaps that each go up in Bruhat order
+    n = draw(st.integers(3, 30))
+    u, w = (tuple(draw(st.permutations(range(1, n + 1)))) for _ in range(2))
+    v = list(u)
+    positions = st.integers(0, n - 1)
+    for i, j in draw(st.lists(st.tuples(positions, positions), max_size=8)):
+        i, j = sorted((i, j))
+        if v[i] < v[j]:
+            v[i], v[j] = v[j], v[i]
+    return u, tuple(v), w
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(raised_pairs())
+def test_duality_involutions_property(triple):
+    u, v, w = triple
+    n = len(u)
+    du, dv, dw = (dual_permutation(p) for p in (u, v, w))
+    assert dual_permutation(du) == u
+    assert length(u) + length(du) == n * (n - 1) // 2
+    assert bruhat_leq(u, w) == bruhat_leq(dw, du)
+    iv = BruhatInterval(u, v)
+    assert dual_interval(iv) == BruhatInterval(dv, du)
+    assert dual_interval(dual_interval(iv)) == iv
+
+
 def test_dual_interval():
     iv = dual_interval(BruhatInterval(identity(6), (3, 1, 6, 5, 4, 2)))
     assert iv == BruhatInterval((4, 6, 1, 2, 3, 5), longest(6))

@@ -17,11 +17,15 @@ from permsplit import (
     identity,
     longest,
     permutahedron_edges,
+    permutahedron_vertices,
     predicted_cells,
     theorem_hyperplanes,
 )
+from permsplit.polytope import _interval_members
 from permsplit.splits import (
     MAX_SCAN_N,
+    _canonical_supports,
+    _families,
     _open_levels,
     _support_bounds,
     _verdict,
@@ -34,6 +38,24 @@ from test_polytope import face_vertices
 
 def H(n, support, level):
     return SplitHyperplane(n=n, support=frozenset(support), level=level)
+
+
+def geometric_cells(h):
+    """The two closed sides of h as Bruhat intervals, the identity's side
+    first, from x_S on all n! vertices and never from the closed form; None
+    when a side is not an interval."""
+    n, level = h.n, h.level
+    perms = permutahedron_vertices(n)
+    columns = list(zip(*perms))
+    pairs = list(zip(perms, map(sum, zip(*(columns[i - 1] for i in h.support)))))
+    side_a = _interval_members([p for p, v in pairs if v <= level])
+    side_b = _interval_members([p for p, v in pairs if v >= level])
+    if side_a is None or side_b is None:
+        return None
+    (e_cell, _), (w_cell, _) = (
+        (side_a, side_b) if side_a[0].lo == identity(n) else (side_b, side_a)
+    )
+    return e_cell, w_cell
 
 
 def test_hyperplane_normalization():
@@ -107,9 +129,9 @@ def test_predicted_cells():
 
 
 def test_predicted_cells_match_geometry():
-    for n in (3, 4, 5):
+    for n in range(3, 8):
         for h in theorem_hyperplanes(n):
-            assert check_split(h).cells == predicted_cells(h)
+            assert check_split(h).cells == geometric_cells(h), h
 
 
 def test_good_split_cells_are_anchored():
@@ -222,22 +244,23 @@ def sweep_oracle(h):
 def test_open_levels_match_check_split():
     # the open levels against one verdict per integer level, and every
     # verdict and witness against the face sweep
-    for n in (3, 4, 5):
-        for size in range(1, n):
-            for s in combinations(range(1, n + 1), size):
-                lo, hi = _support_bounds(n, size)
-                slow = [
-                    t for t in range(lo + 1, hi)
-                    if _verdict(n, frozenset(s), t) == "good-split"
-                ]
-                assert _open_levels(n, s) == slow, (n, s)
-                for t in range(lo, hi + 1):
-                    h = H(n, s, t)
-                    report = check_split(h)
-                    assert (report.verdict == "good-split") == (t in slow), (n, s, t)
-                    assert (report.verdict, report.offending_face) == sweep_oracle(h), (
-                        n, s, t,
-                    )
+    # at n=6 on the canonical supports, to which every hyperplane normalizes
+    supports = [
+        (n, s) for n in (3, 4, 5) for size in range(1, n)
+        for s in combinations(range(1, n + 1), size)
+    ] + [(6, s) for s in _canonical_supports(6)]
+    for n, s in supports:
+        lo, hi = _support_bounds(n, len(s))
+        slow = [
+            t for t in range(lo + 1, hi)
+            if _verdict(n, frozenset(s), t) == "good-split"
+        ]
+        assert _open_levels(n, s) == slow, (n, s)
+        for t in range(lo, hi + 1):
+            h = H(n, s, t)
+            report = check_split(h)
+            assert (report.verdict == "good-split") == (t in slow), (n, s, t)
+            assert (report.verdict, report.offending_face) == sweep_oracle(h), (n, s, t)
 
 
 @st.composite
@@ -252,15 +275,51 @@ def candidate_hyperplanes(draw):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(candidate_hyperplanes())
 def test_check_split_against_independent_oracles(h):
-    # oracles that never read the class lemma: the face sweep, and the
-    # closed-form families and cells
+    # oracles that never read the class lemma: the face sweep, the
+    # closed-form families, and the closed sides for the cells
     expected, face = sweep_oracle(h)
     report = check_split(h)
     assert report.verdict == expected
     assert report.offending_face == face
     assert (expected == "good-split") == (h in theorem_hyperplanes(h.n))
     if expected == "good-split":
-        assert report.cells == predicted_cells(h)
+        assert report.cells == geometric_cells(h)
+
+
+@st.composite
+def any_hyperplane(draw):
+    n = draw(st.integers(3, 30))
+    size = draw(st.integers(1, n - 1))
+    support = frozenset(draw(st.sets(st.integers(1, n), min_size=size, max_size=size)))
+    lo, hi = _support_bounds(n, size)
+    return n, support, draw(st.integers(lo, hi))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(any_hyperplane())
+def test_hyperplane_normalization_property(args):
+    # S and [n] - S with complementary levels are one object, which keeps the
+    # support that is smaller by (|S|, sorted S)
+    n, s, t = args
+    comp = frozenset(range(1, n + 1)) - s
+    h = H(n, s, t)
+    assert h == H(n, comp, n * (n + 1) // 2 - t)
+    kept = min((s, t), (comp, n * (n + 1) // 2 - t), key=lambda p: (len(p[0]), sorted(p[0])))
+    assert (h.support, h.level) == kept
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(3, 30).flatmap(lambda n: st.sampled_from(theorem_hyperplanes(n))))
+def test_dual_hyperplane_involution_property(h):
+    # duality swaps the prefix families at the same width and sends x_i = r
+    # to x_i = n + 1 - r
+    d = dual_hyperplane(h)
+    assert dual_hyperplane(d) == h
+    family, arg, level = _families(h.n)[h]
+    swap = {"prefix-low": "prefix-high", "prefix-high": "prefix-low"}
+    assert _families(h.n)[d][:2] == (swap.get(family, family), arg)
+    if family == "coordinate":
+        assert d.level == h.n + 1 - level
 
 
 def test_json_round_trip():

@@ -12,11 +12,13 @@ from permsplit import (
     build_poset,
     check_split,
     export_poset,
+    flag_of_interval,
     refines,
     subdivision_from_hyperplanes,
     theorem_hyperplanes,
 )
 from permsplit.subdivision import poset_to_json, rejection_to_json, subdivision_to_json
+from permsplit.verify import is_positroid
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -27,6 +29,11 @@ def H(n, support, level):
 
 def by_name(n):
     return {str(h): h for h in theorem_hyperplanes(n)}
+
+
+@pytest.fixture(scope="module")
+def l4_poset():
+    return build_poset(4)
 
 
 def cells_of(sub):
@@ -107,8 +114,8 @@ def test_build_poset_l3():
     assert len(poset.maximal_indices()) == 2
 
 
-def test_build_poset_l4_structure():
-    poset = build_poset(4)
+def test_build_poset_l4_structure(l4_poset):
+    poset = l4_poset
     names = by_name(4)
     assert len(poset.minimal_indices()) == 6
     # every single-hyperplane split is a minimal element
@@ -138,20 +145,27 @@ def test_build_poset_l4_structure():
     assert {poset.elements.index(e) for e in stacks} <= maximal
 
 
-def test_build_poset_l4_monotone_acceptance():
-    poset = build_poset(4)
+def test_build_poset_l4_monotone_acceptance(l4_poset):
+    poset = l4_poset
     keyed = {frozenset(e.hyperplanes): e for e in poset.elements}
     for e in poset.elements:
         for h in e.hyperplanes:
             coarser = keyed[frozenset({h})]
             assert refines(e, coarser)
     # the poset's order, read off hyperplane sets, is geometric refinement
-    for n in (3, 4):
-        poset = build_poset(n)
+    for n, poset in ((3, build_poset(3)), (4, l4_poset)):
         for i, a in enumerate(poset.elements):
             for j, b in enumerate(poset.elements):
                 inclusion = set(a.hyperplanes) <= set(b.hyperplanes)
                 assert refines(b, a) == inclusion == ((i, j) in poset.leq), (n, i, j)
+
+
+def test_poset_cells_are_positroid_flags(l4_poset):
+    # every constituent of every cell's flag passes the Grassmann-necklace test
+    for element in l4_poset.elements:
+        for cell in element.cells:
+            for m in flag_of_interval(cell.interval)[0]:
+                assert is_positroid(4, m.bases), (cell.interval, m.rank)
 
 
 def test_l3_poset_matches_fixture():
@@ -160,8 +174,8 @@ def test_l3_poset_matches_fixture():
     assert got == expected
 
 
-def test_l4_poset_matches_fixture():
-    got = json.loads(export_poset(build_poset(4), "json"))
+def test_l4_poset_matches_fixture(l4_poset):
+    got = json.loads(export_poset(l4_poset, "json"))
     expected = json.loads((FIXTURES / "l4_poset.json").read_text())
     assert got == expected
 
@@ -184,8 +198,8 @@ def test_subdivisions_match_fixture():
     assert got == expected
 
 
-def test_export_dot():
-    poset = build_poset(4)
+def test_export_dot(l4_poset):
+    poset = l4_poset
     dot = export_poset(poset, "dot")
     assert dot.startswith("digraph")
     edges = [line for line in dot.splitlines() if "->" in line]
