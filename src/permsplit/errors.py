@@ -1,4 +1,20 @@
-"""Exception types shared across the library."""
+"""Exception types, and the readers of JSON numbers, shared across the library."""
+
+from fractions import Fraction
+
+
+def _json_int(x) -> int:
+    """An integer field of a JSON document; TypeError on true, 1.0, 2.7 or text."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
+def _json_fraction(x) -> Fraction:
+    """An exact field, an int or a fraction text; TypeError on true and floats."""
+    if isinstance(x, (bool, float)):
+        raise TypeError(f"{x!r} is not exact; a document takes integers and fraction texts")
+    return Fraction(x)
 
 
 class DomainError(ValueError):

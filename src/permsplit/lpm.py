@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations
-from operator import index
 
-from .errors import DomainError, GaleOrderError
+from .errors import DomainError, GaleOrderError, _json_int
 from .matroid import SetMatroid, is_quotient, matroid_from_bases
 from .perm import MAX_LATTICE_N, BruhatInterval, _prefix_lattice, bruhat_permutation_of_chain
 
@@ -289,9 +288,8 @@ def lpm_to_json(m: LatticePathMatroid) -> dict:
 
 def lpm_from_json(doc: dict) -> LatticePathMatroid:
     try:
-        # index, unlike int, rejects "x" and 2.7 with a TypeError
-        steps = [[index(x) for x in doc[key]] for key in ("U", "L")]
-        return lpm_new(index(doc["n"]), *steps)
+        steps = [[_json_int(x) for x in doc[key]] for key in ("U", "L")]
+        return lpm_new(_json_int(doc["n"]), *steps)
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed LPM document: {exc}") from exc
 

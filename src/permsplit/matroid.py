@@ -13,9 +13,8 @@ from functools import lru_cache
 from itertools import chain as _chain
 from itertools import combinations
 from math import lcm
-from operator import index
 
-from .errors import DomainError, ExchangeAxiomError
+from .errors import DomainError, ExchangeAxiomError, _json_fraction, _json_int
 
 
 @dataclass(frozen=True)
@@ -204,16 +203,9 @@ def is_quotient(m: SetMatroid, n: SetMatroid, criterion: int = 1) -> bool:
 # --- exact linear algebra, for matrix ingestion and polytope ranks and solves
 
 
-def _exact(x) -> Fraction:
-    # Fraction would read 1.1 as a binary float and true as 1
-    if isinstance(x, (bool, float)):
-        raise TypeError(f"{x!r} is not exact; a matrix document takes integers and fraction texts")
-    return Fraction(x)
-
-
 def _as_fraction_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
     try:
-        mat = tuple(tuple(_exact(x) for x in row) for row in rows)
+        mat = tuple(tuple(map(_json_fraction, row)) for row in rows)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"malformed matrix entry: {exc}") from exc
     if not mat:
@@ -289,8 +281,8 @@ def matroid_to_json(m: SetMatroid) -> dict:
 
 def matroid_from_json(doc: dict) -> SetMatroid:
     try:
-        # index, unlike int, rejects "x" and 2.7 with a TypeError
-        return matroid_from_bases(index(doc["n"]), doc["bases"])
+        bases = [[_json_int(x) for x in b] for b in doc["bases"]]
+        return matroid_from_bases(_json_int(doc["n"]), bases)
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed matroid document: {exc}") from exc
 

@@ -26,13 +26,19 @@ Chain = tuple[frozenset[int], ...]
 # largest n that bruhat_interval accepts: at n=9, [e, w0] alone has 362,880 members
 MAX_INTERVAL_N = 8
 
-# largest n that flag_of_interval accepts, the largest whose counts fit _WEIGHT's
-# fields: its _prefix_lattice pass on [e, w0] visits all 2^16 sets, in about a second
+# largest n that flag_of_interval accepts: its _prefix_lattice pass on [e, w0]
+# visits all 2^n sets, about a second at n=16 and twice that per further step
 MAX_LATTICE_N = 16
 
-# _WEIGHT[x] counts value x once for each threshold t = 2..x, in five-bit fields:
-# a count (at most n - 1 <= 15) in four bits, and a guard bit for the borrow test
-_WEIGHT = tuple(sum(1 << 5 * t for t in range(x - 1)) for x in range(MAX_LATTICE_N + 1))
+
+@lru_cache(maxsize=None)
+def _packing(n: int) -> tuple[tuple[int, ...], int]:
+    """``(weight, guard)``: ``weight[x]`` counts value x once per threshold
+    t = 2..x, one field per t holding a count (at most n - 1) and a guard bit;
+    c <= d in every field iff ``(d | guard) - c & guard == guard``."""
+    w = (n - 1).bit_length() + 1
+    weight = tuple(sum(1 << w * t for t in range(x - 1)) for x in range(n + 1))
+    return weight, weight[n] << w - 1
 
 
 def perm(values) -> Perm:
@@ -82,22 +88,27 @@ def bruhat_covers(p: Perm) -> frozenset[Perm]:
     return frozenset(out)
 
 
-@lru_cache(maxsize=262144)
-def _sorted_prefixes(p: Perm) -> tuple[tuple[int, ...], ...]:
-    # prefixes of length 1..n-1; the full prefix is always equal between perms
-    return tuple(tuple(sorted(p[:k])) for k in range(1, len(p)))
-
-
 def bruhat_leq(u: Perm, v: Perm) -> bool:
-    """Strong Bruhat order via the sorted-prefix (tableau) criterion."""
+    """Strong Bruhat order by the tableau criterion: u <= v iff for every k
+    and threshold t, no more of u(1..k) than of v(1..k) are >= t; one borrow
+    test per k on the counts packed by :func:`_packing`.
+
+    >>> bruhat_leq((1, 3, 2, 4), (3, 4, 1, 2))
+    True
+    >>> bruhat_leq((3, 1, 4, 2), (2, 4, 1, 3)), bruhat_leq((2, 4, 1, 3), (3, 1, 4, 2))
+    (False, False)
+    >>> w0 = longest(20)  # six-bit fields from n=17 on
+    >>> bruhat_leq(identity(20), w0), bruhat_leq(w0, identity(20))
+    (True, False)
+    """
     if len(u) != len(v):
         raise DomainError(f"mismatched sizes: {len(u)} vs {len(v)}")
-    if u == v:
-        return True
-    for su, sv in zip(_sorted_prefixes(u), _sorted_prefixes(v)):
-        for a, b in zip(su, sv):
-            if a > b:
-                return False
+    weight, guard = _packing(len(u))
+    cu = cv = 0
+    for x, y in zip(u, v):
+        cu, cv = cu + weight[x], cv + weight[y]
+        if (cv | guard) - cu & guard != guard:
+            return False
     return True
 
 
@@ -105,28 +116,27 @@ def _prefix_lattice(u: Perm, v: Perm) -> list[dict[int, list]]:
     """``layers[k]``: each size-k prefix value set of a member of [u, v] (bit
     x - 1 for value x) -> its steps ``((x,), superset)``, in increasing x.
 
-    z is a member iff each prefix value set of z passes bruhat_leq's criterion,
-    so the members are the chains of such sets from the empty set to [n].  A
-    set is on one iff it is live backward from [n] and reachable forward from
-    the empty set: one O(2^n n) pass each way.
+    z is a member iff each prefix value set of z passes bruhat_leq's packed
+    test against u and v, so the members are the chains of such sets from the
+    empty set to [n].  A set is on one iff it is live backward from [n] and
+    reachable forward from the empty set: one O(2^n n) pass each way.
     """
     n = len(u)
     if len(v) != n:
         raise DomainError(f"mismatched sizes: {n} vs {len(v)}")
-    guard = _WEIGHT[n] << 4
-    low = list(accumulate((_WEIGHT[x] for x in u), initial=0))
-    high = [c | guard for c in accumulate((_WEIGHT[x] for x in v), initial=0)]
+    weight, guard = _packing(n)
+    low = list(accumulate((weight[x] for x in u), initial=0))
+    high = [c | guard for c in accumulate((weight[x] for x in v), initial=0)]
     full = (1 << n) - 1
     layer = {full: low[n]}  # live sets of one size -> packed counts
     steps = {full: []}  # live set -> its steps to live sets one value larger
     for k in range(n - 1, -1, -1):
         below, lo, hi = {}, low[k], high[k]
         for x in range(1, n + 1):
-            bit, weight, value = 1 << x - 1, _WEIGHT[x], (x,)
+            bit, wx, value = 1 << x - 1, weight[x], (x,)
             for m, c in layer.items():
                 if m & bit:
-                    a, ca = m ^ bit, c - weight
-                    # a guard bit survives a subtraction iff its field did not borrow
+                    a, ca = m ^ bit, c - wx
                     if (ca | guard) - lo & guard == guard and hi - ca & guard == guard:
                         below[a] = ca
                         steps.setdefault(a, []).append((value, m))

@@ -14,9 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, gcd, lcm
-from operator import index
 
-from .errors import DomainError
+from .errors import DomainError, _json_fraction, _json_int
 from .matroid import _eliminate, _matrix_rank_int, is_quotient
 from .perm import BruhatInterval, Perm, bruhat_interval, bruhat_leq, perm
 
@@ -195,19 +194,12 @@ def is_bip(points) -> BruhatInterval | None:
     interval iff those two span one that reproduces it exactly.  Every
     point must be a permutation, and all of one size.
     """
-    found = _interval_members(points)
-    return None if found is None else found[0]
-
-
-def _interval_members(points):
-    """(interval, its members) when the points form one, else None; see is_bip."""
     pts = {tuple(p) for p in points}
     if not pts:
         return None
     lo, hi = perm(min(pts)), perm(max(pts))
-    members = bruhat_interval(lo, hi) if bruhat_leq(lo, hi) else ()
-    if pts == set(members):  # so every point is a permutation
-        return BruhatInterval(lo, hi), members
+    if bruhat_leq(lo, hi) and pts == set(bruhat_interval(lo, hi)):
+        return BruhatInterval(lo, hi)  # so every point is a permutation
     if len({len(perm(p)) for p in pts}) > 1:  # perm raises on a non-permutation
         raise DomainError("points of different sizes")
     return None
@@ -340,11 +332,8 @@ def constraint_to_json(c: LinearConstraint) -> dict:
 
 def constraint_from_json(doc: dict) -> LinearConstraint:
     try:
-        # Fraction would read 2.7 as a binary float and true as 1
-        if isinstance(doc["level"], (bool, float)):
-            raise TypeError(f"level must be an integer or a fraction text, got {doc['level']!r}")
-        support = frozenset(map(index, doc["S"]))
-        return LinearConstraint(support, doc["sense"], Fraction(doc["level"]))
+        support = frozenset(map(_json_int, doc["S"]))
+        return LinearConstraint(support, doc["sense"], _json_fraction(doc["level"]))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"malformed constraint document: {exc}") from exc
 

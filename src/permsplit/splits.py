@@ -54,9 +54,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from operator import index
 
-from .errors import DomainError
+from .errors import DomainError, _json_int
 from .lpm import flag_of_interval
 from .perm import MAX_INTERVAL_N, BruhatInterval, dual_interval, identity, longest, set_sequences
 from .polytope import Face2D, faces_2d
@@ -120,10 +119,7 @@ def hyperplane_to_json(h: SplitHyperplane) -> dict:
 
 def hyperplane_from_json(doc: dict, n: int) -> SplitHyperplane:
     try:
-        # index, unlike int, rejects "x" and 2.7 with a TypeError; it reads true as 1
-        if isinstance(doc["alpha"], bool):
-            raise TypeError(f"alpha must be an integer, got {doc['alpha']!r}")
-        support, level = frozenset(map(index, doc["S"])), index(doc["alpha"])
+        support, level = frozenset(map(_json_int, doc["S"])), _json_int(doc["alpha"])
         return SplitHyperplane(n=n, support=support, level=level)
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed hyperplane document: {exc}") from exc

@@ -19,9 +19,9 @@ from .lpm import flag_of_interval
 from .perm import BruhatInterval, Perm, bruhat_interval, perm_to_str
 from .polytope import (
     LinearConstraint,
-    _interval_members,
     affine_rank,
     enumerate_vertices,
+    is_bip,
     is_permutation_point,
     permutahedron_facets,
     permutahedron_vertices,
@@ -107,16 +107,15 @@ def subdivision_from_hyperplanes(n: int, hs):
                 witness=strays[0],
             )
         # every coordinate is now an int, so the points are the permutations
-        found = _interval_members(points)
-        if found is None:
+        interval = is_bip(points)
+        if interval is None:
             return SubdivisionRejection(
                 n=n, hyperplanes=hyps, reason="non-bip-cell", signs=signs,
                 witness=points,
             )
-        interval, members = found
         _, lpfm_ok = flag_of_interval(interval)
         cells.append(SubdivisionCell(signs=signs, interval=interval, lpfm=lpfm_ok))
-        covered.update(members)
+        covered.update(points)
 
     if covered != set(permutahedron_vertices(n)):
         raise RuntimeError("accepted cells do not tile the permutation set")

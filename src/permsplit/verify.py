@@ -45,9 +45,9 @@ from .perm import (
 )
 from .polytope import (
     LinearConstraint,
-    _interval_members,
     enumerate_vertices,
     flag_polytope_vertices,
+    is_bip,
     is_permutation_point,
     permutahedron_facets,
     permutahedron_vertices,
@@ -381,7 +381,7 @@ def check_classification(n: int) -> CheckResult:
         for t in range(lo + 1, hi):
             levels += 1
             sides = [
-                _interval_members([p for p, v in zip(perms, values) if side(v, t)])
+                is_bip([p for p, v in zip(perms, values) if side(v, t)])
                 for side in (le, ge)
             ]
             good = None not in sides
@@ -389,8 +389,7 @@ def check_classification(n: int) -> CheckResult:
             if good != (_verdict(n, s, t) == "good-split"):
                 problems.append(f"{h}: verdict disagrees with the sides")
             elif good:
-                a, b = (iv for iv, _ in sides)
-                cells = (a, b) if a.lo == identity(n) else (b, a)
+                cells = tuple(sides if sides[0].lo == identity(n) else reversed(sides))
                 if cells != predicted_cells(h):
                     problems.append(f"{h}: cells differ from the closed form")
     if n == 4:

@@ -220,15 +220,20 @@ def test_malformed_pair_exit_code(capsys, pair):
     [
         ("matroid", "validate", '{"n":"x","bases":[[1]]}'),
         ("matroid", "validate", '{"n":2.7,"bases":[[1,2]]}'),
+        ("matroid", "validate", '{"n":true,"bases":[[1]]}'),
+        ("matroid", "validate", '{"n":3,"bases":[[true,2]]}'),
+        ("matroid", "validate", '{"n":3,"bases":[[1.0,2],[1,3]]}'),
         ("flag", "interval", '{"n":3,"constituents":[{"n":"q","U":[1],"L":[2]}]}'),
         ("flag", "interval", '{"n":3,"constituents":[{"n":3,"U":["a"],"L":[2]}]}'),
+        ("flag", "interval", '{"n":3,"constituents":[{"n":3,"U":[true],"L":[2]}]}'),
         ("flag", "polytope", '{"n":3,"constituents":[{"n":"q","U":[1],"L":[2]}]}'),
         ("flag", "polytope", '{"n":3,"constituents":[{"n":3,"U":["a"],"L":[2]}]}'),
         ("matroid", "from-matrix", "[[1.1, 0.3], [3.3, 0.9]]"),
         ("matroid", "from-matrix", "[[true, 0], [0, 1]]"),
     ],
     ids=[
-        "matroid-n-text", "matroid-n-float", "interval-n", "interval-U", "polytope-n",
+        "matroid-n-text", "matroid-n-float", "matroid-n-bool", "matroid-basis-bool",
+        "matroid-basis-float", "interval-n", "interval-U", "interval-U-bool", "polytope-n",
         "polytope-U", "matrix-float", "matrix-bool",
     ],
 )

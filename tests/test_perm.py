@@ -95,6 +95,26 @@ def test_leq_matches_cover_reachability_s4():
             assert bruhat_leq(u, v) == (v in reach[u])
 
 
+def sorted_prefix_leq(u, v):
+    """Reference: the tableau criterion on sorted prefixes, compared entrywise."""
+    if len(u) != len(v):
+        raise DomainError(f"mismatched sizes: {len(u)} vs {len(v)}")
+    return all(
+        a <= b for k in range(1, len(u)) for a, b in zip(sorted(u[:k]), sorted(v[:k]))
+    )
+
+
+def test_leq_matches_sorted_prefixes_exhaustively():
+    for n in range(6):
+        perms = list(permutations(range(1, n + 1)))
+        for u in perms:
+            for v in perms:
+                assert bruhat_leq(u, v) == sorted_prefix_leq(u, v), (u, v)
+    for u, v in (((1, 2), (1, 2, 3)), ((2, 1, 3), (1,)), ((), (1,))):
+        with pytest.raises(DomainError):
+            bruhat_leq(u, v)
+
+
 def test_interval():
     assert set(bruhat_interval(identity(4), longest(4))) == set(
         permutations(range(1, 5))
@@ -197,9 +217,9 @@ def test_dual_reverses_order():
 
 
 @st.composite
-def raised_pairs(draw):
+def raised_pairs(draw, low=3):
     # u, any w, and v raised from u by swaps that each go up in Bruhat order
-    n = draw(st.integers(3, 30))
+    n = draw(st.integers(low, 30))
     u, w = (tuple(draw(st.permutations(range(1, n + 1)))) for _ in range(2))
     v = list(u)
     positions = st.integers(0, n - 1)
@@ -222,6 +242,16 @@ def test_duality_involutions_property(triple):
     iv = BruhatInterval(u, v)
     assert dual_interval(iv) == BruhatInterval(dv, du)
     assert dual_interval(dual_interval(iv)) == iv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(raised_pairs(7))
+def test_leq_matches_sorted_prefixes_property(triple):
+    # u <= v by construction, and v <= u fails unless a swap was made
+    u, v, w = triple
+    assert bruhat_leq(u, v) and bruhat_leq(v, u) == (u == v)
+    for a, b in ((u, v), (v, u), (u, w), (w, u)):
+        assert bruhat_leq(a, b) == sorted_prefix_leq(a, b), (a, b)
 
 
 def test_dual_interval():

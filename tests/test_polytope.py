@@ -27,7 +27,6 @@ from permsplit import (
 from permsplit.matroid import _eliminate
 from permsplit.polytope import (
     BruhatInterval,
-    _interval_members,
     _matrix_rank_int,
     _solve_square,
     affine_rank,
@@ -183,27 +182,22 @@ def test_is_bip():
 
 
 def test_is_bip_edge_inputs():
-    assert is_bip([]) is None and _interval_members([]) is None
+    assert is_bip([]) is None
     # a point that is not a permutation raises, wherever it sits in the order
     for bad in ((0, 0, 0), (2, 2, 2), (4, 4, 4)):
         for pts in ([bad], [(1, 2, 3), bad, (3, 2, 1)], [(2, 1, 3), bad]):
             with pytest.raises(DomainError):
                 is_bip(pts)
-            with pytest.raises(DomainError):
-                _interval_members(pts)
     # points of different sizes raise, whether or not the extremes differ in size
     for pts in ([(1, 2), (2, 1, 3)], [(1, 2, 3), (2, 1), (3, 2, 1)], [(1, 3, 2), (1, 2)]):
         with pytest.raises(DomainError):
             is_bip(pts)
-        with pytest.raises(DomainError):
-            _interval_members(pts)
     # integer-valued Fractions give the interval of ints they equal
     members = bruhat_interval((1, 3, 2, 4), (3, 4, 1, 2))
     as_fractions = [tuple(Fraction(x) for x in z) for z in members]
-    iv, got = _interval_members(as_fractions)
-    assert iv == BruhatInterval((1, 3, 2, 4), (3, 4, 1, 2)) and got == members
-    assert all(type(x) is int for z in (iv.lo, iv.hi, *got) for x in z)
-    assert is_bip(as_fractions) == iv
+    iv = is_bip(as_fractions)
+    assert iv == BruhatInterval((1, 3, 2, 4), (3, 4, 1, 2))
+    assert all(type(x) is int for z in (iv.lo, iv.hi) for x in z)
     assert is_bip([list(z) for z in members]) == iv
     assert is_bip(as_fractions[:-1]) is None
 
@@ -388,11 +382,14 @@ def test_point_and_constraint_json():
 
 
 @pytest.mark.parametrize(
-    "level", [2.7, "x", True, "1/0", None], ids=["float", "text", "bool", "zero-den", "null"]
+    "doc",
+    [*({"S": [1, 2], "sense": "<=", "level": level} for level in (2.7, "x", True, "1/0", None)),
+     {"S": [True, 2], "sense": "<=", "level": 3}],
+    ids=["float", "text", "bool", "zero-den", "null", "S-bool"],
 )
-def test_malformed_constraint_document(level):
+def test_malformed_constraint_document(doc):
     with pytest.raises(DomainError, match="malformed constraint document"):
-        constraint_from_json({"S": [1, 2], "sense": "<=", "level": level})
+        constraint_from_json(doc)
 
 
 def test_lpm_basis_count_matches_dp():

@@ -15,13 +15,13 @@ from permsplit import (
     exhaustive_scan,
     faces_2d,
     identity,
+    is_bip,
     longest,
     permutahedron_edges,
     permutahedron_vertices,
     predicted_cells,
     theorem_hyperplanes,
 )
-from permsplit.polytope import _interval_members
 from permsplit.splits import (
     MAX_SCAN_N,
     _canonical_supports,
@@ -48,14 +48,11 @@ def geometric_cells(h):
     perms = permutahedron_vertices(n)
     columns = list(zip(*perms))
     pairs = list(zip(perms, map(sum, zip(*(columns[i - 1] for i in h.support)))))
-    side_a = _interval_members([p for p, v in pairs if v <= level])
-    side_b = _interval_members([p for p, v in pairs if v >= level])
+    side_a = is_bip([p for p, v in pairs if v <= level])
+    side_b = is_bip([p for p, v in pairs if v >= level])
     if side_a is None or side_b is None:
         return None
-    (e_cell, _), (w_cell, _) = (
-        (side_a, side_b) if side_a[0].lo == identity(n) else (side_b, side_a)
-    )
-    return e_cell, w_cell
+    return (side_a, side_b) if side_a.lo == identity(n) else (side_b, side_a)
 
 
 def test_hyperplane_normalization():
@@ -330,8 +327,9 @@ def test_json_round_trip():
 @pytest.mark.parametrize(
     "doc",
     [{"S": [1], "alpha": 2.7}, {"S": [1], "alpha": "x"}, {"S": [1], "alpha": True},
-     {"S": [1.5], "alpha": 2}, {"S": ["x"], "alpha": 2}, {"S": [1]}],
-    ids=["alpha-float", "alpha-text", "alpha-bool", "S-float", "S-text", "no-alpha"],
+     {"S": [1.5], "alpha": 2}, {"S": ["x"], "alpha": 2}, {"S": [True], "alpha": 2},
+     {"S": [1]}],
+    ids=["alpha-float", "alpha-text", "alpha-bool", "S-float", "S-text", "S-bool", "no-alpha"],
 )
 def test_malformed_hyperplane_document(doc):
     with pytest.raises(DomainError, match="malformed hyperplane document"):
