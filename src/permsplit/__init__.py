@@ -2,108 +2,6 @@
 matroid flags, and the classification of its hyperplane splits into Bruhat
 interval polytopes."""
 
-from .errors import DomainError, ExchangeAxiomError, GaleOrderError
-from .perm import (
-    BruhatInterval,
-    Perm,
-    bruhat_covers,
-    bruhat_interval,
-    bruhat_leq,
-    bruhat_permutation_of_chain,
-    chain_of_permutation,
-    dual_interval,
-    dual_permutation,
-    identity,
-    length,
-    longest,
-    perm,
-    perm_from_str,
-    perm_to_str,
-    set_sequences,
-)
-from .matroid import (
-    SetMatroid,
-    circuits,
-    contract,
-    delete,
-    dual_matroid,
-    flats,
-    is_quotient,
-    matroid_from_bases,
-    matroid_from_rational_matrix,
-    uniform_matroid,
-)
-from .lpm import (
-    GoodPair,
-    LPFMFlag,
-    LatticePathMatroid,
-    elementary_quotient,
-    flag_of_interval,
-    good_pair,
-    good_pairs,
-    is_dual_schubert,
-    is_lpm,
-    is_schubert,
-    lpfm_flag,
-    lpfm_interval,
-    lpm_bases,
-    lpm_new,
-    quotient_chain,
-    to_set_matroid,
-    uniform_lpm,
-)
-from .polytope import (
-    Face2D,
-    LinearConstraint,
-    VertexEnumeration,
-    enumerate_vertices,
-    faces_2d,
-    flag_polytope_vertices,
-    is_bip,
-    permutahedron_edges,
-    permutahedron_facets,
-    permutahedron_vertices,
-)
-from .splits import (
-    SplitHyperplane,
-    SplitReport,
-    check_split,
-    dual_hyperplane,
-    exhaustive_scan,
-    predicted_cells,
-    theorem_hyperplanes,
-)
-from .subdivision import (
-    Subdivision,
-    SubdivisionCell,
-    SubdivisionPoset,
-    SubdivisionRejection,
-    build_poset,
-    export_poset,
-    refines,
-    subdivision_from_hyperplanes,
-)
+from . import lpm, matroid, perm, polytope, splits, subdivision  # noqa: F401
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BruhatInterval", "DomainError", "ExchangeAxiomError", "Face2D",
-    "GaleOrderError", "GoodPair", "LPFMFlag", "LatticePathMatroid",
-    "LinearConstraint", "Perm", "SetMatroid", "SplitHyperplane", "SplitReport",
-    "Subdivision", "SubdivisionCell", "SubdivisionPoset",
-    "SubdivisionRejection", "VertexEnumeration", "bruhat_covers",
-    "bruhat_interval", "bruhat_leq", "bruhat_permutation_of_chain",
-    "build_poset", "chain_of_permutation", "check_split", "circuits",
-    "contract", "delete", "dual_hyperplane", "dual_interval", "dual_matroid",
-    "dual_permutation", "elementary_quotient", "enumerate_vertices",
-    "exhaustive_scan", "export_poset", "faces_2d", "flag_of_interval",
-    "flag_polytope_vertices", "flats", "good_pair", "good_pairs", "identity",
-    "is_bip", "is_dual_schubert", "is_lpm", "is_quotient", "is_schubert",
-    "length", "longest", "lpfm_flag", "lpfm_interval", "lpm_bases", "lpm_new",
-    "matroid_from_bases", "matroid_from_rational_matrix",
-    "permutahedron_edges", "permutahedron_facets", "permutahedron_vertices",
-    "perm", "perm_from_str", "perm_to_str", "predicted_cells",
-    "quotient_chain", "refines", "set_sequences",
-    "subdivision_from_hyperplanes", "theorem_hyperplanes", "to_set_matroid",
-    "uniform_lpm", "uniform_matroid",
-]

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 domain errors, 2 usage errors.  ``--format json``
-gives machine output everywhere; the default is an aligned table.
+gives machine output everywhere; the default is an aligned table, and
+``poset`` also writes Graphviz DOT with ``--format dot``.
 """
 
 from __future__ import annotations
@@ -268,15 +269,7 @@ def _cmd_flag(args) -> int:
             fmt,
         )
     elif args.action == "polytope":
-        doc = _read_doc(args.args[0])
-        try:
-            constituents = [
-                matroid_mod.matroid_from_json(d) if "bases" in d
-                else lpm_mod.to_set_matroid(lpm_mod.lpm_from_json(d))
-                for d in doc["constituents"]
-            ]
-        except (KeyError, TypeError) as exc:
-            raise DomainError(f"malformed flag document: {exc}") from exc
+        constituents = lpm_mod.flag_matroids_from_json(_read_doc(args.args[0]))
         pts = sorted(flag_polytope_vertices(constituents))
         _emit(
             {"vertices": [point_to_json(p) for p in pts]},
@@ -376,10 +369,6 @@ def _cmd_verify(args) -> int:
     return 0 if passed == len(results) else 1
 
 
-def _add_format(p):
-    p.add_argument("--format", choices=("table", "json", "dot"), default="table")
-
-
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process and reused by every ``main``."""
@@ -393,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     def action_parser(group, name, func, **kwargs):
         p = group.add_parser(name, **kwargs)
         p.set_defaults(func=func, action=name)
-        _add_format(p)
+        formats = ("table", "json", "dot") if func is _cmd_poset else ("table", "json")
+        p.add_argument("--format", choices=formats, default="table")
         return p
 
     bruhat = groups.add_parser("bruhat", help="Bruhat order operations").add_subparsers(

@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import accumulate, combinations
 
 from .errors import DomainError, GaleOrderError, _json_int
-from .matroid import SetMatroid, is_quotient, matroid_from_bases
+from .matroid import SetMatroid, is_quotient, matroid_from_bases, matroid_from_json
 from .perm import MAX_LATTICE_N, BruhatInterval, _prefix_lattice, bruhat_permutation_of_chain
 
 
@@ -106,14 +106,6 @@ def elementary_quotient(m: LatticePathMatroid, pair: GoodPair) -> LatticePathMat
     """M[U - u, L - l] for a good pair; drops the rank by one."""
     pair = good_pair(m, pair.u, pair.l)  # re-derives indices and re-checks
     return lpm_new(m.n, (x for x in m.U if x != pair.u), (x for x in m.L if x != pair.l))
-
-
-def is_schubert(m: LatticePathMatroid) -> bool:
-    return m.L == tuple(range(m.n - m.k + 1, m.n + 1))
-
-
-def is_dual_schubert(m: LatticePathMatroid) -> bool:
-    return m.U == tuple(range(1, m.k + 1))
 
 
 def quotient_chain(m_lo: LatticePathMatroid, m_hi: LatticePathMatroid):
@@ -294,12 +286,25 @@ def lpm_from_json(doc: dict) -> LatticePathMatroid:
         raise DomainError(f"malformed LPM document: {exc}") from exc
 
 
-def flag_to_json(flag: LPFMFlag) -> dict:
-    return {"n": flag.n, "constituents": [lpm_to_json(m) for m in flag.constituents]}
+def _flag_constituents(doc: dict, read) -> list:
+    """``read`` applied to each constituent of a flag document on [n]."""
+    try:
+        n = _json_int(doc["n"])
+        parts = [read(d) for d in doc["constituents"]]
+    except (KeyError, TypeError) as exc:
+        raise DomainError(f"malformed flag document: {exc}") from exc
+    stray = next((m for m in parts if m.n != n), None)
+    if stray is not None:
+        raise DomainError(f"malformed flag document: a constituent on [{stray.n}], not [{n}]")
+    return parts
 
 
 def flag_from_json(doc: dict) -> LPFMFlag:
-    try:
-        return lpfm_flag(lpm_from_json(d) for d in doc["constituents"])
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"malformed flag document: {exc}") from exc
+    return lpfm_flag(_flag_constituents(doc, lpm_from_json))
+
+
+def flag_matroids_from_json(doc: dict) -> list[SetMatroid]:
+    """A flag's constituents as matroids; each is an LPM or a matroid document."""
+    return _flag_constituents(
+        doc, lambda d: matroid_from_json(d) if "bases" in d else to_set_matroid(lpm_from_json(d))
+    )

@@ -2,7 +2,7 @@
 
 Derived data (rank function, circuits, flats) is computed on demand and
 memoized; everything stays exact and hashable.  Ground sets are canonical
-[n] = {1, ..., n}; minors relabel by order-preserving shift.
+[n] = {1, ..., n}.
 """
 
 from __future__ import annotations
@@ -70,16 +70,6 @@ def matroid_from_bases(n: int, bases) -> SetMatroid:
     return SetMatroid(n=n, bases=bset, rank=sizes.pop())
 
 
-def uniform_matroid(k: int, n: int) -> SetMatroid:
-    if not 0 <= k <= n:
-        raise DomainError(f"uniform matroid needs 0 <= k <= n, got k={k}, n={n}")
-    return SetMatroid(
-        n=n,
-        bases=frozenset(frozenset(c) for c in combinations(range(1, n + 1), k)),
-        rank=k,
-    )
-
-
 def matroid_rank(m: SetMatroid, subset) -> int:
     """rank(S) = max over bases of |B & S|."""
     s = frozenset(subset)
@@ -117,44 +107,6 @@ def flats(m: SetMatroid) -> frozenset[frozenset[int]]:
         if all(matroid_rank(m, fs | {e}) > r for e in ground if e not in fs):
             out.append(fs)
     return frozenset(out)
-
-
-def dual_matroid(m: SetMatroid) -> SetMatroid:
-    ground = m.ground()
-    return SetMatroid(
-        n=m.n,
-        bases=frozenset(ground - b for b in m.bases),
-        rank=m.n - m.rank,
-    )
-
-
-def _relabel(bases, n: int, removed: int) -> frozenset[frozenset[int]]:
-    # order-preserving shift of [n] \ {removed} onto [n-1]
-    return frozenset(
-        frozenset(x if x < removed else x - 1 for x in b) for b in bases
-    )
-
-
-def delete(m: SetMatroid, e: int) -> SetMatroid:
-    if not 1 <= e <= m.n:
-        raise DomainError(f"element {e} not in [{m.n}]")
-    is_coloop = all(e in b for b in m.bases)
-    if is_coloop:
-        kept = frozenset(b - {e} for b in m.bases)
-    else:
-        kept = frozenset(b for b in m.bases if e not in b)
-    return matroid_from_bases(m.n - 1, _relabel(kept, m.n, e))
-
-
-def contract(m: SetMatroid, e: int) -> SetMatroid:
-    if not 1 <= e <= m.n:
-        raise DomainError(f"element {e} not in [{m.n}]")
-    is_loop = all(e not in b for b in m.bases)
-    if is_loop:
-        kept = m.bases
-    else:
-        kept = frozenset(b - {e} for b in m.bases if e in b)
-    return matroid_from_bases(m.n - 1, _relabel(kept, m.n, e))
 
 
 def is_quotient(m: SetMatroid, n: SetMatroid, criterion: int = 1) -> bool:
@@ -203,7 +155,7 @@ def is_quotient(m: SetMatroid, n: SetMatroid, criterion: int = 1) -> bool:
 # --- exact linear algebra, for matrix ingestion and polytope ranks and solves
 
 
-def _as_fraction_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
+def matrix_from_json(rows) -> tuple[tuple[Fraction, ...], ...]:
     try:
         mat = tuple(tuple(map(_json_fraction, row)) for row in rows)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
@@ -257,7 +209,7 @@ def matroid_from_rational_matrix(rows) -> SetMatroid:
     matrix; entries may be Fractions, ints, or "p/q" strings.
     """
     mat = []
-    for row in _as_fraction_rows(rows):  # clearing denominators keeps the matroid
+    for row in matrix_from_json(rows):  # clearing denominators keeps the matroid
         den = lcm(*(x.denominator for x in row))
         mat.append([int(x * den) for x in row])
     ncols = len(mat[0])
@@ -282,10 +234,12 @@ def matroid_to_json(m: SetMatroid) -> dict:
 def matroid_from_json(doc: dict) -> SetMatroid:
     try:
         bases = [[_json_int(x) for x in b] for b in doc["bases"]]
-        return matroid_from_bases(_json_int(doc["n"]), bases)
+        n = _json_int(doc["n"])
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed matroid document: {exc}") from exc
-
-
-def matrix_from_json(rows) -> tuple[tuple[Fraction, ...], ...]:
-    return _as_fraction_rows(rows)
+    if n < 0:
+        raise DomainError(f"malformed matroid document: n={n} is negative")
+    repeated = next((b for b in bases if len(set(b)) != len(b)), None)
+    if repeated is not None:
+        raise DomainError(f"malformed matroid document: basis {repeated} repeats an element")
+    return matroid_from_bases(n, bases)

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, gcd, lcm
 
-from .errors import DomainError, _json_fraction, _json_int
+from .errors import DomainError
 from .matroid import _eliminate, _matrix_rank_int, is_quotient
 from .perm import BruhatInterval, Perm, bruhat_interval, bruhat_leq, perm
 
@@ -37,14 +37,6 @@ class LinearConstraint:
             raise DomainError(f"unknown sense {self.sense!r}")
         object.__setattr__(self, "support", frozenset(int(i) for i in self.support))
         object.__setattr__(self, "level", Fraction(self.level))
-
-    def satisfied_by(self, point: Point) -> bool:
-        s = sum(point[i - 1] for i in self.support)
-        if self.sense == ">=":
-            return s >= self.level
-        if self.sense == "<=":
-            return s <= self.level
-        return s == self.level
 
 
 @dataclass(frozen=True)
@@ -326,22 +318,5 @@ def is_permutation_point(p: Point) -> bool:
 # --- JSON forms -------------------------------------------------------------
 
 
-def constraint_to_json(c: LinearConstraint) -> dict:
-    return {"S": sorted(c.support), "sense": c.sense, "level": str(c.level)}
-
-
-def constraint_from_json(doc: dict) -> LinearConstraint:
-    try:
-        support = frozenset(map(_json_int, doc["S"]))
-        return LinearConstraint(support, doc["sense"], _json_fraction(doc["level"]))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"malformed constraint document: {exc}") from exc
-
-
 def point_to_json(p: Point) -> list[str]:
     return [str(Fraction(x)) for x in p]
-
-
-def point_from_json(doc) -> Point:
-    vals = tuple(Fraction(x) for x in doc)
-    return tuple(int(v) if v.denominator == 1 else v for v in vals)

@@ -55,7 +55,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .errors import DomainError, _json_int
+from .errors import DomainError
 from .lpm import flag_of_interval
 from .perm import MAX_INTERVAL_N, BruhatInterval, dual_interval, identity, longest, set_sequences
 from .polytope import Face2D, faces_2d
@@ -115,14 +115,6 @@ def hyperplane_text(h: SplitHyperplane) -> str:
 
 def hyperplane_to_json(h: SplitHyperplane) -> dict:
     return {"S": sorted(h.support), "alpha": h.level}
-
-
-def hyperplane_from_json(doc: dict, n: int) -> SplitHyperplane:
-    try:
-        support, level = frozenset(map(_json_int, doc["S"])), _json_int(doc["alpha"])
-        return SplitHyperplane(n=n, support=support, level=level)
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"malformed hyperplane document: {exc}") from exc
 
 
 @dataclass(frozen=True)

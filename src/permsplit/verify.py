@@ -3,8 +3,8 @@
 Each check cross-validates a library operation against a second computation
 route: cover-graph reachability for the Bruhat order, its intervals and
 their flags, the Grassmann-necklace test for the flags' positroids, dynamic
-programming for lattice-path counts, random rational
-matrices for matroid quotients, and exhaustive flag enumeration for the
+programming for lattice-path counts, the three quotient criteria against each
+other on every LPM pair, and exhaustive flag enumeration for the
 interval/polytope correspondence.
 The CLI ``verify`` subcommand and the acceptance tests both run these.
 """
@@ -30,7 +30,7 @@ from .lpm import (
     to_set_matroid,
     uniform_lpm,
 )
-from .matroid import SetMatroid, exchange_violation, is_quotient, matroid_from_rational_matrix
+from .matroid import SetMatroid, exchange_violation, is_quotient
 from .perm import (
     BruhatInterval,
     bruhat_covers,
@@ -169,37 +169,6 @@ def sample_lpfm_flags(n: int, count: int, rng: random.Random) -> list[LPFMFlag]:
         flag = LPFMFlag(n=n, constituents=tuple(reversed(stack)))
         seen[flag] = True
     return list(seen)
-
-
-def random_matroid(rng: random.Random, n: int) -> SetMatroid:
-    """Column matroid of a random small-integer matrix (always valid)."""
-    r = rng.randint(1, min(3, n))
-    rows = [
-        [Fraction(rng.choice((-1, 0, 0, 1, 1, 2, 3))) for _ in range(n)]
-        for _ in range(r)
-    ]
-    return matroid_from_rational_matrix(rows)
-
-
-def random_matroid_pairs(rng: random.Random, count: int, max_n: int = 6):
-    """Mixed quotient and non-quotient pairs on a shared ground set."""
-    pairs = []
-    while len(pairs) < count:
-        n = rng.randint(2, max_n)
-        if rng.random() < 0.4:
-            # top rows of a shared matrix: a genuine flag, hence a quotient
-            r = rng.randint(2, min(4, n))
-            rows = [
-                [Fraction(rng.choice((-1, 0, 0, 1, 1, 2))) for _ in range(n)]
-                for _ in range(r)
-            ]
-            top = rng.randint(1, r - 1)
-            m = matroid_from_rational_matrix(rows[:top])
-            big = matroid_from_rational_matrix(rows)
-            pairs.append((m, big))
-        else:
-            pairs.append((random_matroid(rng, n), random_matroid(rng, n)))
-    return pairs
 
 
 # --- checks ------------------------------------------------------------------

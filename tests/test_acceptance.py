@@ -19,42 +19,31 @@ analysis lives in the project notes:
 import random
 from fractions import Fraction
 
-from permsplit import (
-    BruhatInterval,
-    SplitHyperplane,
-    SubdivisionRejection,
-    build_poset,
-    bruhat_leq,
-    check_split,
-    dual_hyperplane,
-    dual_interval,
-    enumerate_vertices,
-    exhaustive_scan,
-    identity,
-    longest,
-    lpm_bases,
-    lpm_new,
-    perm,
-    permutahedron_facets,
-    permutahedron_vertices,
-    predicted_cells,
-    subdivision_from_hyperplanes,
-    theorem_hyperplanes,
-    to_set_matroid,
-)
-from permsplit.lpm import lpfm_interval
-from permsplit.matroid import is_quotient
+from permsplit.lpm import lpfm_interval, lpm_bases, lpm_new, to_set_matroid
+from permsplit.matroid import SetMatroid, is_quotient, matroid_from_rational_matrix
+from permsplit.perm import BruhatInterval, bruhat_leq, dual_interval, identity, longest, perm
 from permsplit.polytope import (
     LinearConstraint,
+    enumerate_vertices,
     flag_polytope_vertices,
     is_permutation_point,
+    permutahedron_facets,
+    permutahedron_vertices,
 )
+from permsplit.splits import (
+    SplitHyperplane,
+    check_split,
+    dual_hyperplane,
+    exhaustive_scan,
+    predicted_cells,
+    theorem_hyperplanes,
+)
+from permsplit.subdivision import SubdivisionRejection, build_poset, subdivision_from_hyperplanes
 from permsplit.verify import (
     all_lpfm_flags,
     all_lpms,
     cover_reachability,
     lattice_path_count,
-    random_matroid_pairs,
     sample_lpfm_flags,
     schubert_flags,
 )
@@ -64,6 +53,37 @@ SEED = 20240801
 
 def H(n, support, level):
     return SplitHyperplane(n=n, support=frozenset(support), level=level)
+
+
+def random_matroid(rng: random.Random, n: int) -> SetMatroid:
+    """Column matroid of a random small-integer matrix (always valid)."""
+    r = rng.randint(1, min(3, n))
+    rows = [
+        [Fraction(rng.choice((-1, 0, 0, 1, 1, 2, 3))) for _ in range(n)]
+        for _ in range(r)
+    ]
+    return matroid_from_rational_matrix(rows)
+
+
+def random_matroid_pairs(rng: random.Random, count: int, max_n: int = 6):
+    """Mixed quotient and non-quotient pairs on a shared ground set."""
+    pairs = []
+    while len(pairs) < count:
+        n = rng.randint(2, max_n)
+        if rng.random() < 0.4:
+            # top rows of a shared matrix: a genuine flag, hence a quotient
+            r = rng.randint(2, min(4, n))
+            rows = [
+                [Fraction(rng.choice((-1, 0, 0, 1, 1, 2))) for _ in range(n)]
+                for _ in range(r)
+            ]
+            top = rng.randint(1, r - 1)
+            m = matroid_from_rational_matrix(rows[:top])
+            big = matroid_from_rational_matrix(rows)
+            pairs.append((m, big))
+        else:
+            pairs.append((random_matroid(rng, n), random_matroid(rng, n)))
+    return pairs
 
 
 def test_criterion_1_bruhat_oracle():

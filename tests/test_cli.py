@@ -3,10 +3,9 @@ import time
 
 import pytest
 
-from permsplit import SplitHyperplane
 from permsplit.cli import UsageError, main, parse_hyperplane
 from permsplit.perm import MAX_LATTICE_N
-from permsplit.splits import MAX_SCAN_N
+from permsplit.splits import MAX_SCAN_N, SplitHyperplane
 
 
 def run(capsys, *argv):
@@ -164,6 +163,9 @@ def test_verify_n3(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["split", "nonsense", "-n", "4"]) == 2
     assert main([]) == 2
+    # dot is a poset format only
+    assert main(["bruhat", "leq", "12", "21", "--format", "dot"]) == 2
+    assert main(["split", "scan", "-n", "4", "--format", "dot"]) == 2
 
 
 def test_size_limits_exit_code(capsys):
@@ -215,6 +217,21 @@ def test_malformed_pair_exit_code(capsys, pair):
     assert code == 2 and not out and "Traceback" not in err and "--pair" in err
 
 
+# a flag on [3] that `flag interval` and `flag polytope` accept; the cases below
+# change only its top-level "n"
+FLAG_3 = json.dumps(
+    {
+        "n": 3,
+        "constituents": [
+            {"n": 3, "U": [1], "L": [3]},
+            {"n": 3, "U": [1, 2], "L": [2, 3]},
+            {"n": 3, "U": [1, 2, 3], "L": [1, 2, 3]},
+        ],
+    },
+    separators=(",", ":"),
+)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -223,18 +240,24 @@ def test_malformed_pair_exit_code(capsys, pair):
         ("matroid", "validate", '{"n":true,"bases":[[1]]}'),
         ("matroid", "validate", '{"n":3,"bases":[[true,2]]}'),
         ("matroid", "validate", '{"n":3,"bases":[[1.0,2],[1,3]]}'),
+        ("matroid", "validate", '{"n":3,"bases":[[1,1]]}'),
+        ("matroid", "validate", '{"n":-1,"bases":[[]]}'),
         ("flag", "interval", '{"n":3,"constituents":[{"n":"q","U":[1],"L":[2]}]}'),
         ("flag", "interval", '{"n":3,"constituents":[{"n":3,"U":["a"],"L":[2]}]}'),
         ("flag", "interval", '{"n":3,"constituents":[{"n":3,"U":[true],"L":[2]}]}'),
         ("flag", "polytope", '{"n":3,"constituents":[{"n":"q","U":[1],"L":[2]}]}'),
         ("flag", "polytope", '{"n":3,"constituents":[{"n":3,"U":["a"],"L":[2]}]}'),
+        *(("flag", command, FLAG_3.replace('"n":3', top, 1))
+          for command in ("interval", "polytope") for top in ('"n":"zz"', '"n":99')),
         ("matroid", "from-matrix", "[[1.1, 0.3], [3.3, 0.9]]"),
         ("matroid", "from-matrix", "[[true, 0], [0, 1]]"),
     ],
     ids=[
         "matroid-n-text", "matroid-n-float", "matroid-n-bool", "matroid-basis-bool",
-        "matroid-basis-float", "interval-n", "interval-U", "interval-U-bool", "polytope-n",
-        "polytope-U", "matrix-float", "matrix-bool",
+        "matroid-basis-float", "matroid-basis-repeat", "matroid-n-negative", "interval-n",
+        "interval-U", "interval-U-bool", "polytope-n", "polytope-U", "interval-flag-n-text",
+        "interval-flag-n-other", "polytope-flag-n-text", "polytope-flag-n-other",
+        "matrix-float", "matrix-bool",
     ],
 )
 def test_malformed_json_field_exit_code(capsys, argv):
@@ -248,3 +271,4 @@ def test_malformed_flag_document_exit_code(capsys, doc):
     code, out, err = run(capsys, "flag", "polytope", doc)
     assert code == 1 and not out and "Traceback" not in err
     assert "malformed flag document" in err
+

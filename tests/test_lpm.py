@@ -3,40 +3,28 @@ from itertools import combinations
 
 import pytest
 
-from permsplit import (
-    BruhatInterval,
-    DomainError,
-    GaleOrderError,
-    elementary_quotient,
-    flag_of_interval,
-    good_pair,
-    good_pairs,
-    identity,
-    is_dual_schubert,
-    is_lpm,
-    is_quotient,
-    is_schubert,
-    longest,
-    lpfm_flag,
-    lpfm_interval,
-    lpm_bases,
-    lpm_new,
-    matroid_from_bases,
-    quotient_chain,
-    to_set_matroid,
-    uniform_lpm,
-    uniform_matroid,
-)
+from permsplit.errors import DomainError, GaleOrderError
 from permsplit.lpm import (
     _flag_families,
     _is_lpm_family,
+    elementary_quotient,
     flag_from_json,
-    flag_to_json,
+    flag_of_interval,
+    good_pair,
+    good_pairs,
+    is_lpm,
+    lpfm_flag,
+    lpfm_interval,
+    lpm_bases,
     lpm_from_json,
+    lpm_new,
     lpm_to_json,
+    quotient_chain,
+    to_set_matroid,
+    uniform_lpm,
 )
-from permsplit.matroid import SetMatroid, exchange_violation
-from permsplit.perm import bruhat_leq
+from permsplit.matroid import SetMatroid, exchange_violation, is_quotient, matroid_from_bases
+from permsplit.perm import BruhatInterval, bruhat_leq, identity, longest
 from permsplit.polytope import permutahedron_vertices
 from permsplit.splits import check_split, theorem_hyperplanes
 
@@ -123,15 +111,8 @@ def test_quotient_chain():
     assert quotient_chain(uniform_lpm(2, 4), uniform_lpm(2, 4)) == []
 
 
-def test_schubert_recognizers():
-    assert is_schubert(lpm_new(4, (1, 3), (3, 4)))
-    assert is_dual_schubert(lpm_new(4, (1, 2), (2, 4)))
-    assert is_schubert(uniform_lpm(2, 5)) and is_dual_schubert(uniform_lpm(2, 5))
-    assert not is_schubert(lpm_new(4, (1, 2), (2, 4)))
-
-
 def test_is_lpm():
-    assert is_lpm(uniform_matroid(2, 3)) == ((1, 2), (2, 3))
+    assert is_lpm(to_set_matroid(uniform_lpm(2, 3))) == ((1, 2), (2, 3))
     partition = matroid_from_bases(4, [{1, 2}, {1, 4}, {2, 3}, {3, 4}])
     assert is_lpm(partition) is None  # Gale hull [12, 34] has six bases
     m = lpm_new(8, (1, 2, 4, 6), (3, 5, 6, 8))
@@ -159,7 +140,7 @@ def test_lpfm_schubert_flag_has_identity_bottom():
         lpm_new(4, u, range(4 - k + 1, 5)) for k, u in enumerate(u_chain, 1)
     ]
     flag = lpfm_flag(steps)
-    assert all(is_schubert(m) for m in flag.constituents)
+    assert all(m.L == tuple(range(4 - m.k + 1, 5)) for m in flag.constituents)  # Schubert
     iv = lpfm_interval(flag)
     assert iv.lo == identity(4)
     assert iv.hi == (2, 4, 1, 3)
@@ -174,7 +155,7 @@ def test_flag_of_interval():
     mats, ok = flag_of_interval(BruhatInterval(identity(3), longest(3)))
     assert ok
     assert [m.bases for m in mats] == [
-        uniform_matroid(k, 3).bases for k in (1, 2, 3)
+        to_set_matroid(uniform_lpm(k, 3)).bases for k in (1, 2, 3)
     ]
 
     mats, ok = flag_of_interval(BruhatInterval((1, 3, 2, 4), (3, 4, 1, 2)))
@@ -187,7 +168,7 @@ def test_flag_of_interval():
     assert ok
     for m in mats:
         u, l = is_lpm(m)
-        assert is_schubert(lpm_new(4, u, l))
+        assert l == tuple(range(4 - len(l) + 1, 5))  # Schubert
 
 
 def _reference_flag_of_members(n, members):
@@ -274,7 +255,8 @@ def test_json_round_trips():
     m = lpm_new(8, (1, 2, 4, 6), (3, 5, 6, 8))
     assert lpm_from_json(lpm_to_json(m)) == m
     flag = lpfm_flag([uniform_lpm(k, 3) for k in (1, 2, 3)])
-    assert flag_from_json(flag_to_json(flag)) == flag
+    doc = {"n": 3, "constituents": [lpm_to_json(m) for m in flag.constituents]}
+    assert flag_from_json(doc) == flag
 
 
 def test_flag_oracle_check(monkeypatch):
@@ -296,7 +278,7 @@ def test_flag_positroid_check(monkeypatch):
     bases = frozenset(map(frozenset, ({1, 2}, {1, 4}, {2, 3}, {3, 4})))
     crossing = SetMatroid(n=4, bases=bases, rank=2)
     assert not verify.is_positroid(4, crossing.bases)
-    assert verify.is_positroid(4, uniform_matroid(2, 4).bases)
+    assert verify.is_positroid(4, to_set_matroid(uniform_lpm(2, 4)).bases)
 
     def fed(iv):
         matroids, verdict = flag_of_interval(iv)

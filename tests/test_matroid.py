@@ -3,21 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from permsplit import (
-    DomainError,
-    ExchangeAxiomError,
+from permsplit.errors import DomainError, ExchangeAxiomError
+from permsplit.lpm import to_set_matroid, uniform_lpm
+from permsplit.matroid import (
     SetMatroid,
     circuits,
-    contract,
-    delete,
-    dual_matroid,
     flats,
     is_quotient,
     matroid_from_bases,
+    matroid_from_json,
     matroid_from_rational_matrix,
-    uniform_matroid,
+    matroid_rank,
+    matroid_to_json,
 )
-from permsplit.matroid import matroid_from_json, matroid_to_json, matroid_rank
 
 # the rank-4 point configuration used throughout: columns of this matrix
 EXAMPLE_MATRIX = [
@@ -34,7 +32,7 @@ def B(*sets):
 
 def test_from_bases_uniform():
     m = matroid_from_bases(3, B({1, 2}, {1, 3}, {2, 3}))
-    assert m == uniform_matroid(2, 3)
+    assert m == to_set_matroid(uniform_lpm(2, 3))
 
 
 def test_from_bases_exchange_witness():
@@ -56,14 +54,14 @@ def test_from_bases_rejects_mixed_sizes():
 
 
 def test_circuits():
-    assert circuits(uniform_matroid(2, 3)) == {frozenset({1, 2, 3})}
+    assert circuits(to_set_matroid(uniform_lpm(2, 3))) == {frozenset({1, 2, 3})}
     m = matroid_from_bases(3, B({1}, {3}))
     assert circuits(m) == {frozenset({2}), frozenset({1, 3})}
-    assert circuits(uniform_matroid(4, 4)) == frozenset()
+    assert circuits(to_set_matroid(uniform_lpm(4, 4))) == frozenset()
 
 
 def test_flats():
-    got = flats(uniform_matroid(2, 3))
+    got = flats(to_set_matroid(uniform_lpm(2, 3)))
     assert got == {
         frozenset(),
         frozenset({1}),
@@ -71,49 +69,17 @@ def test_flats():
         frozenset({3}),
         frozenset({1, 2, 3}),
     }
-    assert len(flats(uniform_matroid(3, 3))) == 8
+    assert len(flats(to_set_matroid(uniform_lpm(3, 3)))) == 8
     rank0 = SetMatroid(n=3, bases=frozenset([frozenset()]), rank=0)
     assert flats(rank0) == {frozenset({1, 2, 3})}
 
 
 def test_flats_are_rank_closed():
-    for m in (uniform_matroid(2, 4), matroid_from_bases(3, B({1}, {3}))):
+    for m in (to_set_matroid(uniform_lpm(2, 4)), matroid_from_bases(3, B({1}, {3}))):
         for f in flats(m):
             r = matroid_rank(m, f)
             for e in m.ground() - f:
                 assert matroid_rank(m, f | {e}) > r
-
-
-def test_dual():
-    assert dual_matroid(uniform_matroid(2, 3)) == uniform_matroid(1, 3)
-    m = matroid_from_bases(4, B({1, 2}, {1, 3}, {1, 4}, {2, 3}, {2, 4}))
-    d = dual_matroid(m)
-    assert d.bases == frozenset(m.ground() - b for b in m.bases)
-    assert dual_matroid(d) == m
-
-
-def test_minors():
-    assert delete(uniform_matroid(2, 4), 4) == uniform_matroid(2, 3)
-    assert contract(uniform_matroid(2, 4), 4) == uniform_matroid(1, 3)
-    m = matroid_from_bases(4, B({1, 2}, {1, 3}, {1, 4}, {2, 3}, {2, 4}))
-    assert delete(m, 4) == uniform_matroid(2, 3)
-    # interior element: relabeling shifts 3, 4 down
-    d = delete(uniform_matroid(2, 4), 2)
-    assert d == uniform_matroid(2, 3)
-
-
-def test_minor_duality():
-    rng = random.Random(4)
-    mats = [uniform_matroid(2, 4), uniform_matroid(3, 5)]
-    for _ in range(20):
-        n = rng.randint(2, 5)
-        rows = [[rng.randint(-1, 2) for _ in range(n)] for _ in range(rng.randint(1, 3))]
-        m = matroid_from_rational_matrix(rows)
-        if 0 < m.rank < m.n:
-            mats.append(m)
-    for m in mats:
-        for e in range(1, m.n + 1):
-            assert dual_matroid(delete(m, e)) == contract(dual_matroid(m), e)
 
 
 def test_quotient_criteria_on_named_pairs():
@@ -126,9 +92,9 @@ def test_quotient_criteria_on_named_pairs():
     for c in (1, 2, 3):
         assert is_quotient(m1, m2, c)
     for c in (1, 2, 3):
-        assert not is_quotient(uniform_matroid(2, 4), uniform_matroid(1, 4), c)
+        assert not is_quotient(to_set_matroid(uniform_lpm(2, 4)), to_set_matroid(uniform_lpm(1, 4)), c)
     with pytest.raises(DomainError):
-        is_quotient(uniform_matroid(1, 3), uniform_matroid(2, 4))
+        is_quotient(to_set_matroid(uniform_lpm(1, 3)), to_set_matroid(uniform_lpm(2, 4)))
 
 
 def test_quotient_implies_rank_drop():

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permsplit import (
+from permsplit.errors import DomainError
+from permsplit.perm import (
     BruhatInterval,
-    DomainError,
+    _prefix_lattice,
     bruhat_covers,
     bruhat_interval,
     bruhat_leq,
@@ -25,7 +26,6 @@ from permsplit import (
     perm_to_str,
     set_sequences,
 )
-from permsplit.perm import _prefix_lattice
 
 
 def brute_inversions(p):

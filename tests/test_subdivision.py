@@ -4,20 +4,19 @@ from pathlib import Path
 
 import pytest
 
-from permsplit import (
-    DomainError,
-    SplitHyperplane,
+from permsplit.errors import DomainError
+from permsplit.lpm import flag_of_interval
+from permsplit.splits import SplitHyperplane, check_split, theorem_hyperplanes
+from permsplit.subdivision import (
     Subdivision,
     SubdivisionRejection,
     build_poset,
-    check_split,
     export_poset,
-    flag_of_interval,
     refines,
+    rejection_to_json,
     subdivision_from_hyperplanes,
-    theorem_hyperplanes,
+    subdivision_to_json,
 )
-from permsplit.subdivision import poset_to_json, rejection_to_json, subdivision_to_json
 from permsplit.verify import is_positroid
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
