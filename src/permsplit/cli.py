@@ -248,8 +248,7 @@ def _cmd_matroid(args) -> int:
             fmt,
         )
     else:  # from-matrix
-        rows = matroid_mod.matrix_from_json(_read_doc(args.docs[0]))
-        m = matroid_mod.matroid_from_rational_matrix(rows)
+        m = matroid_mod.matroid_from_rational_matrix(_read_doc(args.docs[0]))
         _emit(
             {"matroid": matroid_mod.matroid_to_json(m)},
             [("rank", str(m.rank)), ("bases", str(len(m.bases)))],

@@ -287,10 +287,10 @@ def lpm_from_json(doc: dict) -> LatticePathMatroid:
 
 
 def _flag_constituents(doc: dict, read) -> list:
-    """``read`` applied to each constituent of a flag document on [n]."""
+    """``read(i, d)`` for each constituent d (i from 1) of a flag document on [n]."""
     try:
         n = _json_int(doc["n"])
-        parts = [read(d) for d in doc["constituents"]]
+        parts = [read(i, d) for i, d in enumerate(doc["constituents"], 1)]
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed flag document: {exc}") from exc
     stray = next((m for m in parts if m.n != n), None)
@@ -300,11 +300,19 @@ def _flag_constituents(doc: dict, read) -> list:
 
 
 def flag_from_json(doc: dict) -> LPFMFlag:
-    return lpfm_flag(_flag_constituents(doc, lpm_from_json))
+    """An LPM flag; every constituent is an LPM document (n, U, L)."""
+
+    def read(i, d):
+        if isinstance(d, dict) and "bases" in d:
+            raise DomainError(f"malformed flag document: flag interval takes LPM constituents"
+                              f" (n, U, L), and constituent {i} is a matroid document")
+        return lpm_from_json(d)
+
+    return lpfm_flag(_flag_constituents(doc, read))
 
 
 def flag_matroids_from_json(doc: dict) -> list[SetMatroid]:
     """A flag's constituents as matroids; each is an LPM or a matroid document."""
     return _flag_constituents(
-        doc, lambda d: matroid_from_json(d) if "bases" in d else to_set_matroid(lpm_from_json(d))
+        doc, lambda _, d: matroid_from_json(d) if "bases" in d else to_set_matroid(lpm_from_json(d))
     )

@@ -33,15 +33,40 @@ can be its values, and the singleton blocks take the other values in any
 order, so each level listed occurs once S has the positions its pattern
 needs: 2 <= k <= n - 2 for a square, mid for {b}, outer for {a, c}.
 
->>> _open_levels(4, (1, 2))
-[4, 6]
->>> _verdict(4, {3}, 3)
-'bad-hexagon'
+Theorem.  Let k = |S|, let lo and hi be the least and greatest x_S, and
+lo < t < hi.  Then x_S = t is a bad square when 2 <= k <= n - 2 and
+lo + 2 <= t <= hi - 2, else a good split when S is a prefix {1..k} or a
+suffix {n-k+1..n}, else a bad hexagon.  A suffix gives the hyperplanes of
+the complementary prefix, whose open levels are lo + 1 and hi - 1, or all
+for k = 1 or n - 1: the three families above are every good split, for all n.
 
-``check_split`` reads the verdict from the lemma, names the first offending
-2-face of a bad split and gives a good one the closed-form cells of
-``predicted_cells``; ``verify`` and the tests compare those with the two
-closed sides.  ``exhaustive_scan`` must recover exactly the families above.
+Proof.  Squares: by the lemma with A = R + {v, w}, a square forbids t exactly
+when t - 1 is the sum of a k-set A with two *free* elements, a with a + 1 in
+[n] - A: the tops of A's runs but one ending at n.  Two runs and two values
+outside A need 2 <= k <= n - 2; then {1..k-1, k+1} has the least sum, lo + 1.
+Moving a free a to a + 1 adds 1 to the sum and costs at most the free element
+a, when {a} is a whole run; so a move keeps two free elements unless A is
+{n-k-1, n-k+1, n-k+3..n}, of sum hi - 3, where every walk of moves ends: the
+sums fill lo + 1 .. hi - 3.  Hexagons: a prefix or suffix is neither mid nor
+outer, so the lemma gives it no hexagon level; any other S is one or both.
+A mid S gets lo + 1 from v = k and r = 1 + ... + (k-1), an outer S from
+v = k - 1 and r = 1 + ... + (k-2), and hi - 1 follows by the map
+x -> (n+1) - x, which sends 2-faces to 2-faces of the same shape and x_S = t
+to x_S = k(n+1) - t.  At k = 1, S is mid and t = v + 1 covers 2..n-1; at
+k = n - 1, S is outer and t = n(n+1)/2 - v - 1 covers lo + 1 .. hi - 1.
+
+>>> _open_levels(4, (1, 2)), _verdict(4, {3}, 3)
+([4, 6], 'bad-hexagon')
+>>> [_verdict(200, range(1, 101), t) for t in (5050, 5051, 5052, 15049)]
+['not-a-split', 'good-split', 'bad-square', 'good-split']
+>>> _verdict(200, set(range(2, 102)), 5051)
+'bad-hexagon'
+>>> exhaustive_scan(200) == theorem_hyperplanes(200)
+True
+
+``check_split`` reads the verdict from the theorem, names a bad split's first
+offending 2-face and gives a good one the closed-form ``predicted_cells``,
+which ``verify`` and the tests compare with the two closed sides.
 
 Within the ambient hyperplane sum(x) = n(n+1)/2, the supports S and [n]-S
 with complementary levels describe the same hyperplane; SplitHyperplane
@@ -60,9 +85,9 @@ from .lpm import flag_of_interval
 from .perm import MAX_INTERVAL_N, BruhatInterval, dual_interval, identity, longest, set_sequences
 from .polytope import Face2D, faces_2d
 
-# largest n that exhaustive_scan accepts: the scan lists all 2^(n-1) canonical
-# supports, which took 8.6 s at n=20 and 41 s at n=22 on a 2-core machine
-MAX_SCAN_N = 22
+# largest n that exhaustive_scan accepts: `split scan -n 1000 --format json` took 1.1-1.7 s
+# and 110 MB on a 2-core machine; both grow as n^2 (4n hyperplanes hold their supports)
+MAX_SCAN_N = 1000
 
 
 def _support_bounds(n: int, size: int) -> tuple[int, int]:
@@ -163,52 +188,22 @@ def theorem_hyperplanes(n: int) -> tuple[SplitHyperplane, ...]:
     return tuple(sorted(_families(n), key=SplitHyperplane.sort_key))
 
 
-def _subset_sums(values, m: int) -> int:
-    """Bitset of the sums of m distinct elements of values (bit s for sum s)."""
-    rows = [1] + [0] * m  # rows[j]: the sums of j of the values seen so far
-    for x in values:
-        for j in range(m, 0, -1):
-            rows[j] |= rows[j - 1] << x
-    return rows[m] if m >= 0 else 0
-
-
-@lru_cache(maxsize=None)
-def _forbidden_levels(n: int, k: int, mid: bool, outer: bool):
-    """Bitsets (bit t for level t) of the levels that squares and that
-    hexagons forbid for a support of class (k, mid, outer); see the lemma."""
-    squares = hexagons = 0
-    for v in range(1, n - 2):
-        for w in range(v + 2, n):
-            rest = [x for x in range(1, n + 1) if x not in (v, v + 1, w, w + 1)]
-            squares |= _subset_sums(rest, k - 2) << v + w + 1
-    for v in range(1, n - 1):
-        rest = [x for x in range(1, n + 1) if not v <= x <= v + 2]
-        if mid:
-            hexagons |= _subset_sums(rest, k - 1) << v + 1
-        if outer:
-            hexagons |= _subset_sums(rest, k - 2) << 2 * v + 2
-    return squares, hexagons
-
-
-def _support_class(n: int, support) -> tuple[int, bool, bool]:
-    """(k, mid, outer) of a nonempty proper support: S is mid when [n] - S
-    is not a run of positions, and outer when S is not."""
-    outside = [p for p in range(1, n + 1) if p not in support]
+def _forbidden(n: int, support) -> tuple[int, int, range, bool]:
+    """(lo, hi, levels squares forbid, whether hexagons forbid the rest) of x_S."""
     k = len(support)
-    return k, outside[-1] - outside[0] >= n - k, max(support) - min(support) >= k
+    lo, hi = _support_bounds(n, k)
+    squares = range(lo + 2, hi - 1) if 2 <= k <= n - 2 else range(hi, hi)
+    return lo, hi, squares, not (max(support) == k or min(support) == n - k + 1)
 
 
 def _verdict(n: int, support, level: int) -> str:
-    """Verdict of x_S = level, read from the class of S."""
-    lo, hi = _support_bounds(n, len(support))
+    """Verdict of x_S = level."""
+    lo, hi, squares, hexagons = _forbidden(n, support)
     if not lo < level < hi:
         return "not-a-split"
-    squares, hexagons = _forbidden_levels(n, *_support_class(n, support))
-    if squares >> level & 1:
+    if level in squares:
         return "bad-square"
-    if hexagons >> level & 1:
-        return "bad-hexagon"
-    return "good-split"
+    return "bad-hexagon" if hexagons else "good-split"
 
 
 def _offending_face(n: int, support: frozenset[int], level: int, verdict: str) -> Face2D:
@@ -249,10 +244,7 @@ def check_split(h: SplitHyperplane) -> SplitReport:
     if verdict != "good-split":
         face = _offending_face(n, h.support, level, verdict)
         return SplitReport(verdict=verdict, offending_face=face)
-    cells = predicted_cells(h)
-    if cells is None:
-        # unreachable: the tests find the good verdicts are the families at n=3..12
-        raise RuntimeError(f"{h} is a good split outside the theorem's families")
+    cells = predicted_cells(h)  # by the theorem, h is in a family
     lpfm = tuple(flag_of_interval(cell)[1] for cell in cells)
     return SplitReport(verdict="good-split", cells=cells, lpfm=lpfm)
 
@@ -313,10 +305,8 @@ def dual_hyperplane(h: SplitHyperplane) -> SplitHyperplane:
 
 def _open_levels(n: int, support) -> list[int]:
     """Levels strictly inside the range of x_S that no 2-face forbids."""
-    lo, hi = _support_bounds(n, len(support))
-    squares, hexagons = _forbidden_levels(n, *_support_class(n, support))
-    forbidden = squares | hexagons
-    return [t for t in range(lo + 1, hi) if not forbidden >> t & 1]
+    lo, hi, squares, hexagons = _forbidden(n, support)
+    return [] if hexagons else [*range(lo + 1, squares.start), *range(squares.stop, hi)]
 
 
 def _canonical_supports(n: int):
@@ -330,16 +320,17 @@ def _canonical_supports(n: int):
 def exhaustive_scan(n: int) -> tuple[SplitHyperplane, ...]:
     """Every (support, level) whose verdict is good-split, canonically sorted.
 
-    The same class lemma as ``check_split``, read once per support for every
-    integer level, building no faces and no cells.  Integer levels suffice: the
-    middle cell of a split contains permutation vertices, which pins x_S to
-    an integer, and every half-integer level is cut by an edge.
+    By the theorem only prefixes and suffixes have open levels, and a suffix
+    cuts as its complementary prefix, so the scan reads the open levels of
+    the n - 1 prefixes and builds no faces and no cells.  Integer levels
+    suffice: the middle cell of a split contains permutation vertices, which
+    pins x_S to an integer, and every half-integer level is cut by an edge.
     """
     if not 3 <= n <= MAX_SCAN_N:
         raise DomainError(f"exhaustive_scan needs 3 <= n <= {MAX_SCAN_N}, got n={n}")
     good = [
-        SplitHyperplane(n=n, support=frozenset(s), level=t)
-        for s in _canonical_supports(n)
-        for t in _open_levels(n, s)
+        SplitHyperplane(n=n, support=frozenset(range(1, k + 1)), level=t)
+        for k in range(1, n)
+        for t in _open_levels(n, range(1, k + 1))
     ]
     return tuple(sorted(good, key=SplitHyperplane.sort_key))

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from permsplit import matroid
 from permsplit.cli import UsageError, main, parse_hyperplane
 from permsplit.perm import MAX_LATTICE_N
 from permsplit.splits import MAX_SCAN_N, SplitHyperplane
@@ -81,6 +82,15 @@ def test_matroid_commands(capsys):
     assert json.loads(out)["matroid"] == {"n": 3, "bases": [[1, 2], [1, 3], [2, 3]]}
 
 
+@pytest.mark.parametrize("matrix", ['[["1","0","1"],["0","1","1"]]', '[["1/0"]]'])
+def test_from_matrix_reads_its_matrix_once(capsys, monkeypatch, matrix):
+    calls = []
+    read = matroid.matrix_from_json
+    monkeypatch.setattr(matroid, "matrix_from_json", lambda rows: calls.append(rows) or read(rows))
+    run(capsys, "matroid", "from-matrix", matrix)
+    assert len(calls) == 1
+
+
 def test_flag_commands(capsys):
     flag = json.dumps(
         {
@@ -125,6 +135,16 @@ def test_split_commands(capsys):
     assert json.loads(out) == {"dual": {"S": [1, 2], "alpha": 6}}
     code, _, err = run(capsys, "split", "check", "-n", "4", "x9=2")
     assert code == 2
+
+
+def test_split_dual_at_large_n(capsys):
+    # the prefix-low level of x1+...+x60 at n=120 and its prefix-high dual,
+    # read from the closed-form verdict with no table over the levels
+    prefix = "+".join(f"x{i}" for i in range(1, 61))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "split", "dual", "-n", "120", f"{prefix}=1831", "--format", "json")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and json.loads(out) == {"dual": {"S": list(range(1, 61)), "alpha": 5429}}
 
 
 def test_poset_commands(capsys):
@@ -230,6 +250,8 @@ FLAG_3 = json.dumps(
     },
     separators=(",", ":"),
 )
+# FLAG_3 with its rank-1 constituent as a matroid document of the same bases
+FLAG_3_BASES = FLAG_3.replace('{"n":3,"U":[1],"L":[3]}', '{"n":3,"bases":[[1],[2],[3]]}')
 
 
 @pytest.mark.parametrize(
@@ -249,6 +271,7 @@ FLAG_3 = json.dumps(
         ("flag", "polytope", '{"n":3,"constituents":[{"n":3,"U":["a"],"L":[2]}]}'),
         *(("flag", command, FLAG_3.replace('"n":3', top, 1))
           for command in ("interval", "polytope") for top in ('"n":"zz"', '"n":99')),
+        ("flag", "interval", FLAG_3_BASES),
         ("matroid", "from-matrix", "[[1.1, 0.3], [3.3, 0.9]]"),
         ("matroid", "from-matrix", "[[true, 0], [0, 1]]"),
     ],
@@ -257,7 +280,7 @@ FLAG_3 = json.dumps(
         "matroid-basis-float", "matroid-basis-repeat", "matroid-n-negative", "interval-n",
         "interval-U", "interval-U-bool", "polytope-n", "polytope-U", "interval-flag-n-text",
         "interval-flag-n-other", "polytope-flag-n-text", "polytope-flag-n-other",
-        "matrix-float", "matrix-bool",
+        "interval-matroid-constituent", "matrix-float", "matrix-bool",
     ],
 )
 def test_malformed_json_field_exit_code(capsys, argv):
@@ -271,4 +294,13 @@ def test_malformed_flag_document_exit_code(capsys, doc):
     code, out, err = run(capsys, "flag", "polytope", doc)
     assert code == 1 and not out and "Traceback" not in err
     assert "malformed flag document" in err
+
+
+def test_flag_interval_names_a_matroid_constituent(capsys):
+    # flag interval takes LPM constituents only; flag polytope takes both forms
+    code, out, err = run(capsys, "flag", "interval", FLAG_3_BASES)
+    assert code == 1 and not out
+    assert "flag interval takes LPM constituents (n, U, L)" in err
+    assert "constituent 1 is a matroid document" in err
+    assert run(capsys, "flag", "polytope", FLAG_3_BASES) == run(capsys, "flag", "polytope", FLAG_3)
 

@@ -167,7 +167,7 @@ def test_dual_hyperplane_cells_are_dual_intervals():
 
 
 def test_exhaustive_scan():
-    for n in range(3, 13):
+    for n in [*range(3, 41), 200, MAX_SCAN_N]:
         assert exhaustive_scan(n) == theorem_hyperplanes(n), n
 
 
@@ -194,6 +194,88 @@ def test_exhaustive_scan_size_limit():
         exhaustive_scan(2)
     with pytest.raises(DomainError):
         exhaustive_scan(MAX_SCAN_N + 1)
+
+
+def _subset_sums(values, m):
+    """Bitset of the sums of m distinct elements of values (bit s for sum s)."""
+    rows = [1] + [0] * m  # rows[j]: the sums of j of the values seen so far
+    for x in values:
+        for j in range(m, 0, -1):
+            rows[j] |= rows[j - 1] << x
+    return rows[m] if m >= 0 else 0
+
+
+@lru_cache(maxsize=None)
+def lemma_levels(n, k, mid, outer):
+    """Bitsets (bit t for level t) of the levels that squares and that
+    hexagons forbid for a support of class (k, mid, outer), each sum of the
+    lemma in the splits docstring evaluated by a subset-sum table."""
+    squares = hexagons = 0
+    for v in range(1, n - 2):
+        for w in range(v + 2, n):
+            rest = [x for x in range(1, n + 1) if x not in (v, v + 1, w, w + 1)]
+            squares |= _subset_sums(rest, k - 2) << v + w + 1
+    for v in range(1, n - 1):
+        rest = [x for x in range(1, n + 1) if not v <= x <= v + 2]
+        if mid:
+            hexagons |= _subset_sums(rest, k - 1) << v + 1
+        if outer:
+            hexagons |= _subset_sums(rest, k - 2) << 2 * v + 2
+    return squares, hexagons
+
+
+def support_class(n, support):
+    """(k, mid, outer): S is mid when [n] - S is not a run of positions, and
+    outer when S is not."""
+    outside = [p for p in range(1, n + 1) if p not in support]
+    k = len(support)
+    return k, outside[-1] - outside[0] >= n - k, max(support) - min(support) >= k
+
+
+def lemma_verdict(n, support, level):
+    lo, hi = _support_bounds(n, len(support))
+    if not lo < level < hi:
+        return "not-a-split"
+    squares, hexagons = lemma_levels(n, *support_class(n, support))
+    if squares >> level & 1:
+        return "bad-square"
+    if hexagons >> level & 1:
+        return "bad-hexagon"
+    return "good-split"
+
+
+def class_representatives(n):
+    """Supports on [n] that take every class: a prefix and a suffix (neither
+    flag), a run off both ends (mid), a run but one position moved to n
+    (outer) and 1 with a run from 3 (both, when 2 <= k <= n - 2)."""
+    reps = set()
+    for k in range(1, n):
+        for s in (
+            range(1, k + 1), range(n - k + 1, n + 1), range(2, k + 2),
+            [*range(1, k), n], [1, *range(3, k + 2)],
+        ):
+            if len(set(s)) == k and max(s) <= n:
+                reps.add(frozenset(s))
+    return reps
+
+
+def test_class_representatives_cover_every_class():
+    for n in range(3, 10):
+        classes = {
+            support_class(n, s) for k in range(1, n)
+            for s in combinations(range(1, n + 1), k)
+        }
+        assert {support_class(n, s) for s in class_representatives(n)} == classes, n
+
+
+def test_verdict_matches_the_lemma():
+    # the theorem's closed form against the lemma's sums, on supports of every
+    # class and every level of their closed range
+    for n in range(3, 21):
+        for s in class_representatives(n):
+            lo, hi = _support_bounds(n, len(s))
+            for t in range(lo, hi + 1):
+                assert _verdict(n, s, t) == lemma_verdict(n, s, t), (n, sorted(s), t)
 
 
 @lru_cache(maxsize=None)
