@@ -13,7 +13,7 @@ import re
 import sys
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, _json_text
 from . import lpm as lpm_mod
 from . import matroid as matroid_mod
 from . import subdivision as subdivision_mod
@@ -99,15 +99,13 @@ def _subset_from_str(s: str):
 def _emit(payload, rows, fmt):
     """payload: json object; rows: list of (label, value) or list of strings."""
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
         return
     if rows and isinstance(rows[0], tuple):
         width = max(len(k) for k, _ in rows)
-        for k, v in rows:
-            print(f"{k.ljust(width)}  {v}")
-    else:
-        for line in rows:
-            print(line)
+        rows = [f"{k.ljust(width)}  {v}" for k, v in rows]
+    if rows:
+        print("\n".join(rows))
 
 
 def _interval_json(iv: BruhatInterval):

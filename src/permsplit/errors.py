@@ -1,6 +1,8 @@
-"""Exception types, and the readers of JSON numbers, shared across the library."""
+"""Exception types, the readers of JSON numbers and the JSON writer, shared across the library."""
 
+import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 
 def _json_int(x) -> int:
@@ -15,6 +17,28 @@ def _json_fraction(x) -> Fraction:
     if isinstance(x, (bool, float)):
         raise TypeError(f"{x!r} is not exact; a document takes integers and fraction texts")
     return Fraction(x)
+
+
+# the C encoder of each JSON leaf type
+_JSON_LEAVES = {str: _json_str, int: int.__repr__, type(None): {None: "null"}.__getitem__,
+                bool: {True: "true", False: "false"}.__getitem__}
+
+
+def _json_text(x, pad: str = "\n") -> str:
+    """``json.dumps(x, indent=2)`` byte for byte (str keys), minus its pure-Python
+    encoder: each leaf goes, with no call of its own, to the C encoder its exact
+    type picks, else to ``json.dumps``; ``pad`` is the enclosing newline and indent."""
+    inner = pad + "  "
+    if isinstance(x, dict):
+        ends, body = "{}", [
+            _json_str(k) + ": " + (enc(v) if (enc := _JSON_LEAVES.get(type(v))) else _json_text(v, inner))
+            for k, v in x.items()
+        ]
+    elif isinstance(x, (list, tuple)):
+        ends, body = "[]", [enc(v) if (enc := _JSON_LEAVES.get(type(v))) else _json_text(v, inner) for v in x]
+    else:
+        return json.dumps(x)
+    return ends[0] + inner + ("," + inner).join(body) + pad + ends[1] if body else ends
 
 
 class DomainError(ValueError):

@@ -260,11 +260,19 @@ def chain_of_permutation(t: Perm) -> Chain:
     )
 
 
+_DIGITS = b"0123456789".ljust(256, b"-")  # bytes.translate table: 0..9 to digits, the rest to "-"
+
+
 def perm_to_str(p: Perm) -> str:
-    """Digit string for n <= 9, comma-separated values otherwise."""
-    if len(p) <= 9:
-        return "".join(map(str, p))
-    return ",".join(map(str, p))
+    """Digit string for n <= 9, comma-separated values otherwise.  An entry
+    outside 0..9, in no permutation of n <= 9, is joined as digits, not bytes."""
+    if len(p) > 9:
+        return ",".join(map(str, p))
+    try:
+        digits = bytes(p).translate(_DIGITS)
+    except (TypeError, ValueError):  # an entry that is no byte
+        digits = b""
+    return digits.decode() if digits.isdigit() else "".join(map(str, p))
 
 
 def perm_from_str(s: str) -> Perm:

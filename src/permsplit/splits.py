@@ -158,7 +158,7 @@ class SplitReport:
     reason: str | None = None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)  # a stream alternating two n keeps its hits; a large n's O(n^2) table leaves
 def _families(n: int) -> dict[SplitHyperplane, tuple[str, int, int]]:
     """Every good-split hyperplane, labelled (family, arg, level).
 

@@ -9,12 +9,11 @@ refinement, which for them is inclusion of hyperplane sets (proved in
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import DomainError
+from .errors import DomainError, _json_text
 from .lpm import flag_of_interval
 from .perm import BruhatInterval, Perm, bruhat_interval, perm_to_str
 from .polytope import (
@@ -260,7 +259,7 @@ def _element_label(s: Subdivision) -> str:
 def export_poset(p: SubdivisionPoset, format: str) -> str:
     """DOT digraph of the cover relation, or the JSON document."""
     if format == "json":
-        return json.dumps(poset_to_json(p), indent=2) + "\n"
+        return _json_text(poset_to_json(p)) + "\n"
     if format == "dot":
         lines = [f'digraph subdivisions_{p.n} {{', "  rankdir=BT;"]
         for s in p.elements:

@@ -2,11 +2,14 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permsplit import matroid
-from permsplit.cli import UsageError, main, parse_hyperplane
-from permsplit.perm import MAX_LATTICE_N
-from permsplit.splits import MAX_SCAN_N, SplitHyperplane
+from permsplit.cli import UsageError, _emit, main, parse_hyperplane
+from permsplit.errors import _json_text
+from permsplit.perm import MAX_LATTICE_N, bruhat_interval, identity, longest
+from permsplit.splits import MAX_SCAN_N, SplitHyperplane, hyperplane_to_json, theorem_hyperplanes
 
 
 def run(capsys, *argv):
@@ -171,6 +174,46 @@ def test_outputs_deterministic(capsys):
     assert run(capsys, "bruhat", "interval", "1324", "3412", "--format", "json")[0] == 0
     assert run(capsys, "bruhat", "interval", "1324")[0] == 2
     assert run(capsys, "bruhat", "interval", "1324", "3412") == table
+
+
+class _Int(int):
+    pass
+
+
+_TEXT = st.text() | st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "é", "😀", "\u2028", "\ud800"])
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(2**63, 2**200) | _TEXT
+    | st.floats() | st.builds(_Int, st.integers()),  # the last two take the fallback
+    lambda kids: st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(_TEXT, kids),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_JSON_VALUES)
+def test_json_text_is_json_dumps(x):
+    assert _json_text(x) == json.dumps(x, indent=2)
+
+
+def test_largest_answer_matches_print_and_json_dumps(capsys):
+    # all of S_8: one print per member, and json.dumps(indent=2), are the reference
+    members = ["".join(map(str, p)) for p in bruhat_interval(identity(8), longest(8))]
+    code, out, _ = run(capsys, "bruhat", "interval", "12345678", "87654321")
+    assert code == 0 and out == "".join(m + "\n" for m in members)
+    code, out, _ = run(capsys, "bruhat", "interval", "12345678", "87654321", "--format", "json")
+    payload = {"lo": "12345678", "hi": "87654321", "members": members}
+    assert code == 0 and out == json.dumps(payload, indent=2) + "\n"
+
+
+def test_scan_at_the_frontier_matches_json_dumps(capsys):
+    payload = {"hyperplanes": [hyperplane_to_json(h) for h in theorem_hyperplanes(MAX_SCAN_N)]}
+    code, out, _ = run(capsys, "split", "scan", "-n", str(MAX_SCAN_N), "--format", "json")
+    assert code == 0 and out == json.dumps(payload, indent=2) + "\n"
+
+
+def test_an_empty_table_prints_nothing(capsys):
+    _emit({}, [], "table")
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_n3(capsys):

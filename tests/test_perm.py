@@ -4,7 +4,7 @@ import random
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from permsplit.errors import DomainError
@@ -314,6 +314,32 @@ def test_text_forms():
     assert perm_from_str(perm_to_str(big)) == big
     with pytest.raises(DomainError):
         perm_from_str("31x2")
+
+
+def test_text_of_every_small_permutation():
+    for n in range(1, 8):
+        for p in permutations(range(1, n + 1)):
+            assert perm_to_str(p) == "".join(map(str, p))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from((8, 9, 10, 12)).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_text_matches_the_join(values):
+    p = tuple(values)
+    assert perm_to_str(p) == ("" if len(p) <= 9 else ",").join(map(str, p))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(-300, 300), max_size=9))
+@example([10])
+@example([3, 48, 1])  # the byte of "0"
+@example([1, 255, 2])
+@example([7, 256])
+def test_short_tuples_outside_the_digits_are_joined(values):
+    # the bulk path must never write an entry >= 10 (or < 0) as a raw byte
+    text = perm_to_str(tuple(values))
+    assert text == "".join(map(str, values))
+    assert text.isprintable()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -171,6 +171,18 @@ def test_exhaustive_scan():
         assert exhaustive_scan(n) == theorem_hyperplanes(n), n
 
 
+def test_families_cache_keeps_two_n():
+    _families.cache_clear()
+    _families(MAX_SCAN_N)
+    for n in (5, 6, 5, 6, 5, 6):
+        check_split(theorem_hyperplanes(n)[0])
+    info = _families.cache_info()
+    assert (info.maxsize, info.currsize) == (2, 2)
+    assert (info.hits, info.misses) == (10, 3)  # one miss for each of MAX_SCAN_N, 5 and 6
+    _families(MAX_SCAN_N)  # its O(n^2) table was evicted
+    assert _families.cache_info().misses == 4
+
+
 def test_edges_cut_exactly_the_half_levels():
     # why the sweeps test no edges and no half-integer levels: an edge moves
     # x_S by 0 or 1, so it cuts no integer level strictly, and every
