@@ -19,10 +19,10 @@ from . import matroid as matroid_mod
 from . import subdivision as subdivision_mod
 from .perm import (
     BruhatInterval,
-    bruhat_interval,
     bruhat_leq,
     dual_interval,
     dual_permutation,
+    interval_texts,
     perm_from_str,
     perm_to_str,
 )
@@ -135,7 +135,7 @@ def _cmd_bruhat(args) -> int:
         _emit({"leq": res}, [("leq", str(res).lower())], fmt)
     elif args.action == "interval":
         u, v = perm_from_str(args.perms[0]), perm_from_str(args.perms[1])
-        members = [perm_to_str(p) for p in bruhat_interval(u, v)]
+        members = interval_texts(u, v)
         _emit(
             {"lo": perm_to_str(u), "hi": perm_to_str(v), "members": members},
             members,

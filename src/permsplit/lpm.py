@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import accumulate, combinations
 
 from .errors import DomainError, GaleOrderError, _json_int
-from .matroid import SetMatroid, is_quotient, matroid_from_bases, matroid_from_json
+from .matroid import SetMatroid, is_quotient, matroid_from_json
 from .perm import MAX_LATTICE_N, BruhatInterval, _prefix_lattice, bruhat_permutation_of_chain
 
 
@@ -76,7 +76,9 @@ def lpm_bases(m: LatticePathMatroid) -> frozenset[frozenset[int]]:
 
 @lru_cache(maxsize=None)
 def to_set_matroid(m: LatticePathMatroid) -> SetMatroid:
-    return matroid_from_bases(m.n, lpm_bases(m))
+    """M[U, L] as a SetMatroid, with no exchange test: a lattice path matroid
+    is transversal, hence a matroid (Bonin-de Mier-Noy 2003)."""
+    return SetMatroid(m.n, lpm_bases(m), m.k)
 
 
 def good_pairs(m: LatticePathMatroid) -> tuple[GoodPair, ...]:

@@ -19,7 +19,7 @@ from .errors import DomainError, ExchangeAxiomError, _json_fraction, _json_int
 
 @dataclass(frozen=True)
 class SetMatroid:
-    """Matroid given by its bases.  Build through :func:`matroid_from_bases`."""
+    """Matroid given by its bases.  Build through :func:`matroid_from_bases` or a theorem."""
 
     n: int
     bases: frozenset[frozenset[int]]

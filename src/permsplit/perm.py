@@ -149,8 +149,8 @@ def _prefix_lattice(u: Perm, v: Perm) -> list[dict[int, list]]:
     return layers
 
 
-def bruhat_interval(u: Perm, v: Perm) -> tuple[Perm, ...]:
-    """All z with u <= z <= v, sorted lexicographically.
+def _join(u: Perm, v: Perm, atoms) -> list:
+    """Each z in [u, v], in lexicographic order, as ``atoms[z(1)] + ... + atoms[z(n)]``.
 
     Joins halves over the members' prefix value sets (:func:`_prefix_lattice`),
     each built once per set, in O(2^n n + n |[u, v]|) rather than n! steps.
@@ -159,14 +159,29 @@ def bruhat_interval(u: Perm, v: Perm) -> tuple[Perm, ...]:
     if n > MAX_INTERVAL_N:
         raise DomainError(f"bruhat_interval needs n <= {MAX_INTERVAL_N}, got n={n}")
     layers = _prefix_lattice(u, v)
-    tails = {(1 << n) - 1: [()]}  # set of size >= n // 2 -> its completions, sorted
+    empty = atoms[0][:0]
+    tails = {(1 << n) - 1: [empty]}  # set of size >= n // 2 -> its completions, sorted
     for layer in reversed(layers[n // 2 : n]):
         for a, out in layer.items():
-            tails[a] = [x + t for x, m in out for t in tails[m]]
-    heads = [((), 0)]  # first halves of the members, with their value sets
+            tails[a] = [atoms[x] + t for (x,), m in out for t in tails[m]]
+    heads = [(empty, 0)]  # first halves of the members, with their value sets
     for layer in layers[: n // 2]:
-        heads = [(p + x, m) for p, a in heads for x, m in layer[a]]
-    return tuple([p + t for p, m in heads for t in tails[m]])
+        heads = [(p + atoms[x], m) for p, a in heads for (x,), m in layer[a]]
+    return [p + t for p, m in heads for t in tails[m]]
+
+
+_SINGLETONS = tuple((x,) for x in range(MAX_INTERVAL_N + 1))
+
+
+def bruhat_interval(u: Perm, v: Perm) -> tuple[Perm, ...]:
+    """All z with u <= z <= v, sorted lexicographically."""
+    return tuple(_join(u, v, _SINGLETONS))
+
+
+def interval_texts(u: Perm, v: Perm) -> list[str]:
+    """:func:`perm_to_str` of each member of [u, v], in the same order, joined
+    as text: every value is one digit, since n <= MAX_INTERVAL_N < 10."""
+    return _join(u, v, "0123456789")
 
 
 def dual_permutation(t: Perm) -> Perm:

@@ -39,9 +39,11 @@ from .perm import (
     chain_of_permutation,
     dual_interval,
     identity,
+    interval_texts,
     length,
     longest,
     perm,
+    perm_to_str,
 )
 from .polytope import (
     LinearConstraint,
@@ -199,13 +201,14 @@ def _comparable_pairs(reach: dict, n: int, seed: int):
 
 
 def check_interval_oracle(n: int, seed: int = 0) -> CheckResult:
-    """Each interval must equal the one read off cover-digraph reachability."""
+    """Each interval, as tuples and as texts, must equal cover-digraph reachability's."""
     reach = cover_reachability(n)
     pairs, mode = _comparable_pairs(reach, n, seed)
-    bad = sum(
-        bruhat_interval(u, v) != tuple(sorted(z for z in reach[u] if v in reach[z]))
-        for u, v in pairs
-    )
+    bad = 0
+    for u, v in pairs:
+        members = tuple(sorted(z for z in reach[u] if v in reach[z]))
+        bad += (bruhat_interval(u, v) != members
+                or interval_texts(u, v) != list(map(perm_to_str, members)))
     return _result(f"interval-oracle[n={n}]", bad == 0, f"{mode}, {bad} mismatches")
 
 
@@ -471,15 +474,17 @@ def check_l4_poset() -> CheckResult:
 
 
 def check_quotient_criteria(n: int) -> CheckResult:
-    """The three quotient criteria agree, exhaustively on LPMs."""
+    """The three quotient criteria agree, exhaustively on LPMs, and every LPM
+    passes the exchange test that to_set_matroid skips."""
     lpms = [to_set_matroid(m) for m in all_lpms(n)]
     disagreements = sum(
         len({is_quotient(m, big, c) for c in (1, 2, 3)}) != 1 for m in lpms for big in lpms
     )
+    violations = sum(exchange_violation(m.bases) is not None for m in lpms)
     return _result(
         f"quotient-criteria[n={n}]",
-        disagreements == 0,
-        f"{len(lpms) ** 2} pairs, {disagreements} disagreements",
+        disagreements == 0 and violations == 0,
+        f"{len(lpms) ** 2} pairs, {disagreements} disagreements, {violations} not matroids",
     )
 
 

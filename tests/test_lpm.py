@@ -69,6 +69,17 @@ def test_lpm_bases_satisfy_exchange():
                         assert matroid_from_bases(n, lpm_bases(m)).rank == k
 
 
+def test_to_set_matroid_skips_a_sweep_that_always_passes():
+    # to_set_matroid takes the exchange axiom as proved for LPMs; the sweep
+    # it skips is the oracle here, on every LPM of every rank up to n=6
+    from permsplit.verify import all_lpms
+
+    for n in range(1, 7):
+        for m in all_lpms(n):
+            assert exchange_violation(lpm_bases(m)) is None, m
+            assert to_set_matroid(m) == matroid_from_bases(n, lpm_bases(m)), m
+
+
 def test_good_pairs():
     m = lpm_new(8, (1, 2, 4, 7), (3, 5, 6, 8))
     with_u4 = [(p.u, p.l) for p in good_pairs(m) if p.u == 4]

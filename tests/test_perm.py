@@ -19,6 +19,7 @@ from permsplit.perm import (
     dual_interval,
     dual_permutation,
     identity,
+    interval_texts,
     length,
     longest,
     perm,
@@ -179,6 +180,47 @@ def test_interval_matches_filter_property(pair):
     else:
         with pytest.raises(DomainError):
             bruhat_interval(u, v)
+
+
+def test_interval_texts_are_the_members_texts():
+    # interval_texts joins digits where bruhat_interval joins 1-tuples: every
+    # comparable pair to n=5, seeded pairs at n=6..8, and the extremes
+    def texts(u, v):
+        return [perm_to_str(z) for z in bruhat_interval(u, v)]
+
+    for n in range(1, 6):
+        perms = list(permutations(range(1, n + 1)))
+        for u in perms:
+            for v in perms:
+                if bruhat_leq(u, v):
+                    assert interval_texts(u, v) == texts(u, v), (u, v)
+    rng = random.Random(20261019)
+    for n in (6, 7, 8):
+        e, w = identity(n), longest(n)
+        pairs = [(e, w), (e, e), (w, w)]
+        while len(pairs) < 8:
+            u, v = sorted(tuple(rng.sample(range(1, n + 1), n)) for _ in range(2))
+            if bruhat_leq(u, v):
+                pairs.append((u, v))
+        for u, v in pairs:
+            assert interval_texts(u, v) == texts(u, v), (u, v)
+
+
+def test_interval_texts_refuse_as_bruhat_interval_does(capsys):
+    from permsplit.cli import main
+
+    cases = (
+        ((3, 4, 1, 2), (1, 3, 2, 4), "(3, 4, 1, 2) is not <= (1, 3, 2, 4) in Bruhat order"),
+        (identity(9), longest(9), "bruhat_interval needs n <= 8, got n=9"),
+    )
+    for u, v, message in cases:
+        for enumerate_interval in (bruhat_interval, interval_texts):
+            with pytest.raises(DomainError) as info:
+                enumerate_interval(u, v)
+            assert str(info.value) == message
+        # through the CLI: exit 1, nothing on stdout, the message on stderr
+        assert main(["bruhat", "interval", perm_to_str(u), perm_to_str(v)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_prefix_lattice_is_the_members_prefix_sets():
