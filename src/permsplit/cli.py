@@ -19,6 +19,7 @@ from . import matroid as matroid_mod
 from . import subdivision as subdivision_mod
 from .perm import (
     BruhatInterval,
+    _int_list,
     bruhat_leq,
     dual_interval,
     dual_permutation,
@@ -89,11 +90,10 @@ def _subset_from_str(s: str):
     s = s.strip()
     if s in ("", "-"):
         return ()
-    if "," in s:
-        return tuple(int(t) for t in s.split(","))
-    if not s.isdigit():
-        raise UsageError(f"malformed subset text {s!r}")
-    return tuple(int(ch) for ch in s)
+    try:
+        return tuple(_int_list(s))
+    except ValueError:
+        raise UsageError(f"malformed subset text {s!r}") from None
 
 
 def _emit(payload, rows, fmt):

@@ -1,20 +1,21 @@
-"""Matroids on [n] stored extensionally by their bases.
+"""Matroids on [n] = {1, ..., n} stored extensionally by their bases.
 
-Derived data (rank function, circuits, flats) is computed on demand and
-memoized; everything stays exact and hashable.  Ground sets are canonical
-[n] = {1, ..., n}.
+Derived data is computed on bit masks (bit x - 1 for the element x): circuits
+and flats from a rank table of all 2^n subsets, so for n <= MAX_LATTICE_N; the
+exchange test and the basis-exchange quotient criterion from the bases alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain as _chain
-from itertools import combinations
+from functools import lru_cache, reduce
+from itertools import combinations, compress
 from math import lcm
+from operator import or_
 
 from .errors import DomainError, ExchangeAxiomError, _json_fraction, _json_int
+from .perm import MAX_LATTICE_N
 
 
 @dataclass(frozen=True)
@@ -32,22 +33,36 @@ class SetMatroid:
         return sorted(tuple(sorted(b)) for b in self.bases)
 
 
-def powerset(iterable):
-    s = list(iterable)
-    return _chain.from_iterable(combinations(s, r) for r in range(len(s) + 1))
+def _mask(s) -> int:
+    return sum(1 << x - 1 for x in s)
+
+
+def _elements(mask: int) -> list[int]:
+    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _exchange_table(bases, n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(B, partners) for each basis mask B, in order: partners[x - 1], for each x
+    in B, is the mask of the y outside B for which B - x + y is a basis."""
+    masks = list(map(_mask, bases))
+    family, table = set(masks), []
+    for b in masks:
+        partners, outside = [0] * n, [1 << y for y in range(n) if not b >> y & 1]
+        for x in _elements(b):
+            partners[x - 1] = sum(y for y in outside if b ^ 1 << x - 1 | y in family)
+        table.append((b, tuple(partners)))
+    return tuple(table)
 
 
 def exchange_violation(bases):
-    """First (B1, B2, x) witnessing an exchange failure, or None.
-
-    Iteration is over sorted bases so the witness is deterministic.
-    """
+    """First (B1, B2, x), over the sorted bases, witnessing an exchange failure, or None."""
     blist = sorted(bases, key=lambda b: tuple(sorted(b)))
-    bset = set(bases)
-    for b1 in blist:
-        for b2 in blist:
-            for x in sorted(b1 - b2):
-                if not any((b1 - {x}) | {y} in bset for y in b2 - b1):
+    table = _exchange_table(blist, max(map(max, filter(None, blist)), default=0))
+    for b1, (m1, partners) in zip(blist, table):
+        keep = [(x, 1 << x - 1 | partners[x - 1]) for x in _elements(m1)]
+        for b2, (m2, _) in zip(blist, table):
+            for x, kept_by in keep:  # B2 holds x, or a y that can replace it in B1
+                if not m2 & kept_by:
                     return b1, b2, x
     return None
 
@@ -82,31 +97,54 @@ def is_independent(m: SetMatroid, subset) -> bool:
 
 
 @lru_cache(maxsize=None)
+def _exchanges(m: SetMatroid) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    return _exchange_table(m.sorted_bases(), m.n)
+
+
+@lru_cache(maxsize=None)
+def _lattice(m: SetMatroid) -> tuple[tuple[int, ...], frozenset[int]]:
+    """(circuit masks, flat masks) from a rank table of all 2^n subsets S: an
+    integer with byte S, so that one shift, AND, OR or subtraction in C acts
+    on every S at once.  rank[S] counts the k for which S holds an independent
+    k-set (one below a basis).  A circuit is a dependent S whose every S - x
+    is independent, a flat an F with rank[F + x] > rank[F] for each x outside."""
+    n, size = m.n, 1 << m.n
+    if n > MAX_LATTICE_N:
+        raise DomainError(f"circuits and flats need n <= {MAX_LATTICE_N} (2^n subsets), got n={n}")
+    ones = int.from_bytes(b"\1" * size, "little")
+    marks = bytearray(size)
+    for b in m.bases:
+        marks[_mask(b)] = 1
+    indep, steps = int.from_bytes(marks, "little"), []
+    for i in range(n):  # steps: (shift from S to S + x, table of the S holding x, of the rest)
+        has = int.from_bytes((bytes(1 << i) + b"\1" * (1 << i)) * (size >> i + 1), "little")
+        steps.append((8 << i, has, ones ^ has))
+        indep |= (indep & has) >> (8 << i)  # close downwards: S - x lies below S
+    sizes, rank = bytes(map(int.bit_count, range(size))), 0
+    for k in range(1, max(map(len, m.bases)) + 1):  # above: the S that hold an independent k-set
+        above = indep & int.from_bytes(sizes.translate(bytes(k) + b"\1" + bytes(255 - k)), "little")
+        for shift, _, lacks in steps:
+            above |= (above & lacks) << shift
+        rank += above
+    circs, flat = ones ^ indep, ones
+    for shift, has, lacks in steps:
+        circs &= lacks | (indep & lacks) << shift
+        lacks *= 0xFF  # rank[F + x] - rank[F] is 0 or 1 at each F that lacks x: no borrows
+        flat &= has | ((rank >> shift & lacks) - (rank & lacks))
+    return (tuple(compress(range(size), circs.to_bytes(size, "little"))),
+            frozenset(compress(range(size), flat.to_bytes(size, "little"))))
+
+
+@lru_cache(maxsize=None)
 def circuits(m: SetMatroid) -> frozenset[frozenset[int]]:
-    """Minimal dependent subsets, by size-increasing sweep."""
-    found: list[frozenset[int]] = []
-    for size in range(1, m.n + 1):
-        for c in combinations(range(1, m.n + 1), size):
-            cs = frozenset(c)
-            if is_independent(m, cs):
-                continue
-            if any(circ < cs for circ in found):
-                continue
-            found.append(cs)
-    return frozenset(found)
+    """Minimal dependent subsets."""
+    return frozenset(frozenset(_elements(c)) for c in _lattice(m)[0])
 
 
 @lru_cache(maxsize=None)
 def flats(m: SetMatroid) -> frozenset[frozenset[int]]:
     """Subsets F with rank(F + e) > rank(F) for every e outside F."""
-    out = []
-    ground = range(1, m.n + 1)
-    for s in powerset(ground):
-        fs = frozenset(s)
-        r = matroid_rank(m, fs)
-        if all(matroid_rank(m, fs | {e}) > r for e in ground if e not in fs):
-            out.append(fs)
-    return frozenset(out)
+    return frozenset(frozenset(_elements(f)) for f in _lattice(m)[1])
 
 
 def is_quotient(m: SetMatroid, n: SetMatroid, criterion: int = 1) -> bool:
@@ -122,32 +160,19 @@ def is_quotient(m: SetMatroid, n: SetMatroid, criterion: int = 1) -> bool:
     if m.n != n.n:
         raise DomainError(f"mismatched ground sets: [{m.n}] vs [{n.n}]")
     if criterion == 1:
-        cm = circuits(m)
-        for circ in circuits(n):
-            covered = frozenset().union(*(c for c in cm if c <= circ))
-            if covered != circ:
-                return False
-        return True
+        mc = _lattice(m)[0]
+        return all(reduce(or_, (c for c in mc if not c & ~nc), 0) == nc for nc in _lattice(n)[0])
     if criterion == 2:
-        return flats(m) <= flats(n)
-    if criterion == 3:
-        ground = n.ground()
-        mb = sorted(m.bases, key=lambda b: tuple(sorted(b)))
-        for b in n.bases:
-            for p in sorted(ground - b):
-                ok = False
-                for bp in mb:
-                    if not bp <= b:
-                        continue
-                    if all(
-                        (b - {q}) | {p} in n.bases
-                        for q in bp
-                        if (bp - {q}) | {p} in m.bases
-                    ):
-                        ok = True
-                        break
-                if not ok:
-                    return False
+        return _lattice(m)[1] <= _lattice(n)[1]
+    if criterion == 3:  # B' serves p unless some q in B' has B' - q + p in m but not B - q + p in n
+        m_exchanges = _exchanges(m)
+        for b, b_partners in _exchanges(n):
+            unmet = (1 << n.n) - 1 & ~b  # the p that no B' inside B serves yet
+            for bp, bp_partners in m_exchanges:
+                if unmet and not bp & ~b:
+                    unmet &= reduce(or_, (x & ~y for x, y in zip(bp_partners, b_partners)), 0)
+            if unmet:
+                return False
         return True
     raise DomainError(f"unknown quotient criterion {criterion!r}")
 
@@ -213,14 +238,12 @@ def matroid_from_rational_matrix(rows) -> SetMatroid:
         den = lcm(*(x.denominator for x in row))
         mat.append([int(x * den) for x in row])
     ncols = len(mat[0])
+    if ncols > MAX_LATTICE_N:
+        raise DomainError(f"matroid_from_rational_matrix needs at most {MAX_LATTICE_N} columns,"
+                          f" got {ncols}")
     r = _matrix_rank_int(mat)
-    if r == 0:
-        return SetMatroid(n=ncols, bases=frozenset([frozenset()]), rank=0)
-    bases = []
-    for cols in combinations(range(ncols), r):
-        sub = [[row[c] for c in cols] for row in mat]
-        if _matrix_rank_int(sub) == r:
-            bases.append(frozenset(c + 1 for c in cols))
+    bases = [cols for cols in combinations(range(1, ncols + 1), r)
+             if _matrix_rank_int([[row[c - 1] for c in cols] for row in mat]) == r]
     return matroid_from_bases(ncols, bases)
 
 

@@ -290,10 +290,17 @@ def perm_to_str(p: Perm) -> str:
     return digits.decode() if digits.isdigit() else "".join(map(str, p))
 
 
+def _int_list(s: str) -> list[int]:
+    """The values of "3142" or "10,3,1,2"; ValueError on any other text."""
+    if "," not in s and not s.isdigit():
+        raise ValueError(s)
+    return [int(t) for t in (s.split(",") if "," in s else s)]
+
+
 def perm_from_str(s: str) -> Perm:
     s = s.strip()
-    if "," in s:
-        return perm(int(t) for t in s.split(","))
-    if not s.isdigit():
-        raise DomainError(f"malformed permutation text: {s!r}")
-    return perm(int(ch) for ch in s)
+    try:
+        values = _int_list(s)
+    except ValueError:
+        raise DomainError(f"malformed permutation text: {s!r}") from None
+    return perm(values)

@@ -30,7 +30,7 @@ from .lpm import (
     to_set_matroid,
     uniform_lpm,
 )
-from .matroid import SetMatroid, exchange_violation, is_quotient
+from .matroid import SetMatroid, circuits, exchange_violation, flats, is_quotient
 from .perm import (
     BruhatInterval,
     bruhat_covers,
@@ -473,18 +473,28 @@ def check_l4_poset() -> CheckResult:
     )
 
 
+def _defined_lattice(m: SetMatroid):
+    """(circuits, flats) by their definitions, with rank(S) = max |B & S| over the bases."""
+    subsets = (frozenset(c) for k in range(m.n + 1) for c in combinations(range(1, m.n + 1), k))
+    rank = {s: max(len(b & s) for b in m.bases) for s in subsets}
+    return ({s for s, r in rank.items() if r == len(s) - 1 and all(rank[s - {x}] == r for x in s)},
+            {s for s, r in rank.items() if all(rank[s | {x}] > r for x in m.ground() - s)})
+
+
 def check_quotient_criteria(n: int) -> CheckResult:
-    """The three quotient criteria agree, exhaustively on LPMs, and every LPM
-    passes the exchange test that to_set_matroid skips."""
+    """The three quotient criteria agree, exhaustively on LPMs; every LPM passes the
+    exchange test that to_set_matroid skips and has its circuits and flats by definition."""
     lpms = [to_set_matroid(m) for m in all_lpms(n)]
     disagreements = sum(
         len({is_quotient(m, big, c) for c in (1, 2, 3)}) != 1 for m in lpms for big in lpms
     )
     violations = sum(exchange_violation(m.bases) is not None for m in lpms)
+    wrong = sum((circuits(m), flats(m)) != _defined_lattice(m) for m in lpms)
     return _result(
         f"quotient-criteria[n={n}]",
-        disagreements == 0 and violations == 0,
-        f"{len(lpms) ** 2} pairs, {disagreements} disagreements, {violations} not matroids",
+        disagreements == 0 and violations == 0 and wrong == 0,
+        f"{len(lpms) ** 2} pairs, {disagreements} disagreements, {violations} not matroids,"
+        f" {wrong} with other circuits or flats",
     )
 
 

@@ -258,6 +258,53 @@ def test_flag_of_interval_comma_form(capsys):
     assert code == 1 and not out and f"n <= {MAX_LATTICE_N}" in err
 
 
+# each walks all 2^n subsets, or C(40, 20) column sets, unless refused at once
+LATTICE_REFUSALS = [
+    ("matroid", "circuits", '{"n": 40, "bases": [[1]]}'),
+    ("matroid", "flats", '{"n": 40, "bases": [[1]]}'),
+    ("matroid", "quotient-check", '{"n": 40, "bases": [[1]]}', '{"n": 40, "bases": [[1]]}',
+     "--criterion", "1"),
+    ("matroid", "quotient-check", '{"n": 17, "bases": [[]]}', '{"n": 17, "bases": [[1]]}',
+     "--criterion", "2"),
+    ("matroid", "from-matrix", json.dumps([[(3 * i + j * j) % 7 for j in range(40)] for i in range(20)])),
+    ("lpm", "chain", "-n", "20", "1,2", "19,20", "1,2,3", "18,19,20"),
+]
+
+
+@pytest.mark.parametrize("argv", LATTICE_REFUSALS, ids=lambda a: " ".join(a[:2]))
+def test_lattice_bound_refuses_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and not out and "Traceback" not in err
+    assert str(MAX_LATTICE_N) in err and err.startswith("error: ")
+
+
+def test_lattice_bound_admits_n_16(capsys):
+    doc = json.dumps({"n": MAX_LATTICE_N, "bases": [[1, 2]]})
+    code, out, _ = run(capsys, "matroid", "circuits", doc, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["circuits"] == [[x] for x in range(3, MAX_LATTICE_N + 1)]
+    code, out, _ = run(capsys, "matroid", "quotient-check", doc, doc, "--format", "json")
+    assert code == 0 and json.loads(out) == {"quotient": {"1": True, "2": True, "3": True}}
+
+
+@pytest.mark.parametrize("argv", [("bruhat", "dual", "1,2,"), ("bruhat", "dual", ",")])
+def test_malformed_permutation_list_exit_code(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out and err == f"error: malformed permutation text: {argv[-1]!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [(("lpm", "bases", "-n", "4", "1,,2", "3,4"), "1,,2"),
+     (("lpm", "bases", "-n", "12", "1,", "12,"), "1,")],
+)
+def test_malformed_subset_list_exit_code(capsys, argv, bad):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out and err == f"usage error: malformed subset text {bad!r}\n"
+
+
 def test_malformed_json_exit_code(capsys):
     code, out, err = run(capsys, "matroid", "validate", "{bad")
     assert code == 2 and not out and "malformed JSON" in err

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain, combinations
 
 import pytest
 
@@ -8,7 +10,9 @@ from permsplit.lpm import to_set_matroid, uniform_lpm
 from permsplit.matroid import (
     SetMatroid,
     circuits,
+    exchange_violation,
     flats,
+    is_independent,
     is_quotient,
     matroid_from_bases,
     matroid_from_json,
@@ -16,6 +20,7 @@ from permsplit.matroid import (
     matroid_rank,
     matroid_to_json,
 )
+from permsplit.verify import all_lpms
 
 # the rank-4 point configuration used throughout: columns of this matrix
 EXAMPLE_MATRIX = [
@@ -146,3 +151,141 @@ def test_rational_matrix_is_exact():
     third = Fraction(1, 3)
     m = matroid_from_rational_matrix([[third, third, third], [1, 1, 1]])
     assert m.rank == 1
+
+
+# --- the frozenset reference: every subset and every basis, one at a time
+
+
+def powerset(iterable):
+    s = list(iterable)
+    return chain.from_iterable(combinations(s, r) for r in range(len(s) + 1))
+
+
+def ref_exchange_violation(bases):
+    blist = sorted(bases, key=lambda b: tuple(sorted(b)))
+    bset = set(bases)
+    for b1 in blist:
+        for b2 in blist:
+            for x in sorted(b1 - b2):
+                if not any((b1 - {x}) | {y} in bset for y in b2 - b1):
+                    return b1, b2, x
+    return None
+
+
+def ref_rank(m, subset):
+    s = frozenset(subset)
+    return max(len(b & s) for b in m.bases)
+
+
+def ref_independent(m, subset):
+    s = frozenset(subset)
+    return any(s <= b for b in m.bases)
+
+
+@lru_cache(maxsize=None)
+def ref_circuits(m):
+    found = []
+    for size in range(1, m.n + 1):
+        for c in combinations(range(1, m.n + 1), size):
+            cs = frozenset(c)
+            if not ref_independent(m, cs) and not any(circ < cs for circ in found):
+                found.append(cs)
+    return frozenset(found)
+
+
+@lru_cache(maxsize=None)
+def ref_flats(m):
+    out = []
+    ground = range(1, m.n + 1)
+    for s in powerset(ground):
+        fs = frozenset(s)
+        r = ref_rank(m, fs)
+        if all(ref_rank(m, fs | {e}) > r for e in ground if e not in fs):
+            out.append(fs)
+    return frozenset(out)
+
+
+def ref_is_quotient(m, n, criterion):
+    if criterion == 1:
+        cm = ref_circuits(m)
+        return all(frozenset().union(*(c for c in cm if c <= circ)) == circ for circ in ref_circuits(n))
+    if criterion == 2:
+        return ref_flats(m) <= ref_flats(n)
+    mb = sorted(m.bases, key=lambda b: tuple(sorted(b)))
+    return all(
+        any(
+            bp <= b
+            and all((b - {q}) | {p} in n.bases for q in bp if (bp - {q}) | {p} in m.bases)
+            for bp in mb
+        )
+        for b in n.bases
+        for p in sorted(n.ground() - b)
+    )
+
+
+def assert_matches_reference(m):
+    assert circuits(m) == ref_circuits(m), m
+    assert flats(m) == ref_flats(m), m
+    for s in powerset(range(m.n + 2)):  # 0 and n + 1 lie in no basis
+        assert matroid_rank(m, s) == ref_rank(m, s), (m, s)
+        assert is_independent(m, s) == ref_independent(m, s), (m, s)
+
+
+def random_family(rng, n, k):
+    ksets = [frozenset(c) for c in combinations(range(1, n + 1), k)]
+    return frozenset(rng.sample(ksets, rng.randint(1, len(ksets))))
+
+
+def test_kernel_matches_reference_on_every_lpm():
+    for n in range(6):
+        lpms = [to_set_matroid(m) for m in all_lpms(n)]
+        for m in lpms:
+            assert_matches_reference(m)
+        for a in lpms:
+            for b in lpms:
+                for c in (1, 2, 3):
+                    assert is_quotient(a, b, c) == ref_is_quotient(a, b, c), (a, b, c)
+
+
+def test_kernel_matches_reference_on_random_families():
+    rng = random.Random(19)
+    matroids = {n: [] for n in range(7)}
+    for i in range(300):
+        # a family of rank 0, 1, n - 1 or n is always a matroid, so every other draw has 2 <= k <= n - 2
+        n = rng.randint(0, 6) if i % 2 else rng.randint(4, 6)
+        family = random_family(rng, n, rng.randint(0, n) if i % 2 else rng.randint(2, n - 2))
+        witness = ref_exchange_violation(family)
+        assert exchange_violation(family) == witness, family
+        if witness is not None:
+            with pytest.raises(ExchangeAxiomError) as exc:
+                matroid_from_bases(n, family)
+            assert str(exc.value) == str(ExchangeAxiomError(*witness))
+        m = SetMatroid(n, family, len(next(iter(family))))  # a matroid or not
+        assert_matches_reference(m)
+        if witness is None:
+            matroids[n].append(m)
+    assert sum(map(len, matroids.values())) >= 60
+    for same_n in matroids.values():
+        for a in same_n:
+            for b in same_n:
+                for c in (1, 2, 3):
+                    assert is_quotient(a, b, c) == ref_is_quotient(a, b, c), (a, b, c)
+
+
+def test_kernel_on_loops_and_coloops():
+    rank0 = matroid_from_json({"n": 3, "bases": [[]]})  # three loops
+    assert circuits(rank0) == {frozenset({x}) for x in (1, 2, 3)}
+    assert flats(rank0) == {frozenset({1, 2, 3})}
+    # 1 is a coloop, 4 and 5 are loops, 2 and 3 are parallel
+    mixed = matroid_from_bases(5, B({1, 2}, {1, 3}))
+    assert circuits(mixed) == {frozenset({4}), frozenset({5}), frozenset({2, 3})}
+    assert flats(mixed) == {frozenset({4, 5}), frozenset({1, 4, 5}), frozenset({2, 3, 4, 5}),
+                            frozenset({1, 2, 3, 4, 5})}
+    zero5 = matroid_from_bases(5, [()])
+    for m in (rank0, mixed, zero5):
+        assert_matches_reference(m)
+    for c in (1, 2, 3):
+        assert is_quotient(zero5, mixed, c) and not is_quotient(mixed, zero5, c)
+        assert is_quotient(mixed, mixed, c) and is_quotient(rank0, rank0, c)
+    assert matroid_rank(mixed, {0, 1, 2, 6}) == 2 and not is_independent(mixed, {0})
+    assert is_independent(mixed, {1, 3}) and not is_independent(mixed, {1, 6})

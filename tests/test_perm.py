@@ -354,8 +354,9 @@ def test_text_forms():
     assert perm_from_str("3142") == (3, 1, 4, 2)
     big = tuple([10] + list(range(1, 10)))
     assert perm_from_str(perm_to_str(big)) == big
-    with pytest.raises(DomainError):
-        perm_from_str("31x2")
+    for text in ("31x2", "1,2,", ",", "1,,2", ""):
+        with pytest.raises(DomainError, match="malformed permutation text"):
+            perm_from_str(text)
 
 
 def test_text_of_every_small_permutation():
