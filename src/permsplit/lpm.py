@@ -3,18 +3,61 @@
 An LPM is presented by two Gale-comparable k-subsets of [n]: the basis set is
 the Gale interval {B : U <=_G B <=_G L}.  The presentation is unique (U and L
 are the coordinatewise min and max of the sorted bases), which is what makes
-recognition and target-guided chain search exact.
+recognition exact and lets quotients be read off the step sets.
+
+Theorem.  Let M = M[U, L] have rank k and N = M[U', L'] rank k - d on [n].
+N is a quotient of M exactly when U' ⊆ U, L' ⊆ L, and, writing
+U - U' = {a_1 < ... < a_d} with a_t the j_t-th element of U and
+L - L' = {b_1 < ... < b_d} with b_t the i_t-th element of L, every t has
+i_t <= j_t and a_t - j_t <= b_t - i_t.  At d = 1 this is the good-pair
+condition max(0, u - l) <= j - i of :func:`good_pairs`.
+
+Proof.  N is a quotient of M exactly when f = r_M - r_N is monotone.  The
+i-th element of a basis lies in [u_i, l_i], so r([p]) = |U ∩ [p]| and
+r([q..n]) = |L ∩ [q..n]|, attained by U and L; and for p < q,
+r([p] ∪ [q..n]) = min(k, |U ∩ [p]| + |L ∩ [q..n]|): for s + t that minimum,
+with s and t at most the two counts, the basis (u_1, ..., u_s, l_{s+1}, ...,
+l_k), increasing as u_s <= l_s < l_{s+1}, has s elements in [p] and its last
+t in [q..n].  Inclusions: U is the set of x at which r([x]) exceeds
+r([x - 1]), so a jump of r_N at x forces one of r_M, since f([x - 1]) <=
+f([x]); hence U' ⊆ U, and L' ⊆ L by suffixes.  i_t <= j_t: if a_t >= b_t,
+then l_{i_t} = b_t <= a_t = u_{j_t} <= l_{j_t}.  Otherwise let X =
+[a_t] ∪ [b_t..n]: U has j_t elements in [a_t] and U' has j_t - t; L has
+k - i_t + 1 in [b_t..n] and L' has d - t + 1 fewer.  If c = j_t - i_t + 1 were
+<= 0, then f(X) = (k + c) - (k - d + c - 1) = d + 1 > f([n]) = d.
+a_t - j_t <= b_t - i_t: complements reverse the Gale order, so
+M[U, L]* = M[[n] - L, [n] - U], and duality reverses quotients: M* is a
+quotient of N*.  Its removed U-steps are L - L', b_t the (b_t - i_t + t)-th
+element of [n] - L', and its removed L-steps U - U', a_t the
+(a_t - j_t + t)-th element of [n] - U'; the inequality just shown for
+(N*, M*) reads a_t - j_t + t <= b_t - i_t + t.  Sufficiency: removing a good
+pair (u at j, l at i) leaves Gale-ordered steps, since for i <= s < j the
+new s-th steps are u_s <= l_s < l_{s+1}, and gives an elementary quotient
+(the rank-one lemma that defines good pairs; ``verify``'s ``good-pairs``
+checks it against criterion 1 for every removal at n <= 5).  Remove (a_d, b_d) first and go down to (a_1, b_1): the larger
+steps go first, so a_t and b_t keep their positions j_t and i_t, each
+removal is a good pair, and N is a quotient of M by transitivity.
+
+>>> is_lpm_quotient(lpm_new(8, (1, 2), (3, 8)), lpm_new(8, (1, 2, 4, 7), (3, 5, 6, 8)))
+True
+>>> is_lpm_quotient(lpm_new(4, (3, 4), (3, 4)), lpm_new(4, (1, 2), (1, 2)))
+False
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, product
 
 from .errors import DomainError, GaleOrderError, _json_int
-from .matroid import SetMatroid, is_quotient, matroid_from_json
+from .matroid import SetMatroid, matroid_from_json
 from .perm import MAX_LATTICE_N, BruhatInterval, _prefix_lattice, bruhat_permutation_of_chain
+
+# largest n that quotient_chain accepts.  Memory, not time, sets it: the chain
+# holds its d LPMs of rank up to k, and at k = n/2, d = n/4 `lpm chain -n 2000
+# --format json` took 0.5 s and 67 MB on a 2-core machine; both grow as n^2
+MAX_CHAIN_N = 2000
 
 
 @dataclass(frozen=True)
@@ -45,6 +88,8 @@ class GoodPair:
 
 def lpm_new(n: int, upper, lower) -> LatticePathMatroid:
     """Validated LPM; raises GaleOrderError with the first failing index."""
+    if n < 0:
+        raise DomainError(f"n={n} is negative")
     u = tuple(sorted(int(x) for x in upper))
     l = tuple(sorted(int(x) for x in lower))
     ground = set(range(1, n + 1))
@@ -66,12 +111,13 @@ def uniform_lpm(k: int, n: int) -> LatticePathMatroid:
 
 @lru_cache(maxsize=None)
 def lpm_bases(m: LatticePathMatroid) -> frozenset[frozenset[int]]:
-    """The Gale interval [U, L] inside the k-subsets of [n]."""
-    out = []
-    for b in combinations(range(1, m.n + 1), m.k):
-        if all(u <= x for u, x in zip(m.U, b)) and all(x <= l for x, l in zip(b, m.L)):
-            out.append(frozenset(b))
-    return frozenset(out)
+    """The Gale interval [U, L], grown one position at a time as
+    :func:`_gale_count` counts it: the i-th element takes each value in
+    [u_i, l_i] above the (i-1)-th, and there is always one, as l_{i-1} < l_i."""
+    paths = [(0,)]
+    for lo, hi in zip(m.U, m.L):
+        paths = [p + (b,) for p in paths for b in range(max(lo, p[-1] + 1), hi + 1)]
+    return frozenset(frozenset(p[1:]) for p in paths)
 
 
 @lru_cache(maxsize=None)
@@ -81,25 +127,35 @@ def to_set_matroid(m: LatticePathMatroid) -> SetMatroid:
     return SetMatroid(m.n, lpm_bases(m), m.k)
 
 
+def _good(u: int, j: int, l: int, i: int) -> bool:
+    """Whether removing the j-th step u of U and the i-th step l of L is a good pair."""
+    return i <= j and u - j <= l - i
+
+
+def is_lpm_quotient(m_lo: LatticePathMatroid, m_hi: LatticePathMatroid) -> bool:
+    """Whether m_lo is a quotient of m_hi, by the theorem of the module docstring."""
+    keep_u, keep_l = set(m_lo.U), set(m_lo.L)
+    if not (keep_u <= set(m_hi.U) and keep_l <= set(m_hi.L)):
+        return False
+    ups = [(a, j) for j, a in enumerate(m_hi.U, 1) if a not in keep_u]
+    lows = [(b, i) for i, b in enumerate(m_hi.L, 1) if b not in keep_l]
+    return all(_good(a, j, b, i) for (a, j), (b, i) in zip(ups, lows))
+
+
 def good_pairs(m: LatticePathMatroid) -> tuple[GoodPair, ...]:
     """All pairs (u_j, l_i) with max(0, u_j - l_i) <= j - i, ordered by (j, i)."""
     if m.k < 1:
         raise DomainError("good pairs need rank >= 1")
-    out = []
-    for j in range(1, m.k + 1):
-        for i in range(1, m.k + 1):
-            if max(0, m.U[j - 1] - m.L[i - 1]) <= j - i:
-                out.append(GoodPair(u=m.U[j - 1], l=m.L[i - 1], j=j, i=i))
-    return tuple(out)
+    pairs = product(enumerate(m.U, 1), enumerate(m.L, 1))
+    return tuple(GoodPair(u=u, l=l, j=j, i=i) for (j, u), (i, l) in pairs if _good(u, j, l, i))
 
 
 def good_pair(m: LatticePathMatroid, u: int, l: int) -> GoodPair:
     """The good pair with values (u, l), or DomainError if it is not good."""
     if u not in m.U or l not in m.L:
         raise DomainError(f"({u},{l}) does not name steps of {m}")
-    j = m.U.index(u) + 1
-    i = m.L.index(l) + 1
-    if max(0, u - l) > j - i:
+    j, i = m.U.index(u) + 1, m.L.index(l) + 1
+    if not _good(u, j, l, i):
         raise DomainError(f"({u},{l}) is not a good pair of {m}")
     return GoodPair(u=u, l=l, j=j, i=i)
 
@@ -115,38 +171,23 @@ def quotient_chain(m_lo: LatticePathMatroid, m_hi: LatticePathMatroid):
 
     Returns a list of (GoodPair, LatticePathMatroid) steps whose last entry
     is m_lo, the empty list when the two are equal, or None when m_lo is not
-    a quotient of m_hi.  Removals are restricted to U_hi - U_lo and
-    L_hi - L_lo (a chain can only delete steps), ties broken by (j, i).
+    a quotient of m_hi.  Step t removes (a_t, b_t) of the theorem, which is
+    the first good pair in (j, i) order whose removal keeps m_lo a quotient:
+    only steps of U_hi - U_lo and L_hi - L_lo can keep it, the least of each
+    come first, (a_1, b_1) is good, and removing it moves every later a_t and
+    b_t one position down, so the theorem's inequalities still hold.
     """
     if m_lo.n != m_hi.n:
         raise DomainError(f"mismatched ground sets: [{m_lo.n}] vs [{m_hi.n}]")
-    if not is_quotient(to_set_matroid(m_lo), to_set_matroid(m_hi)):
+    if m_hi.n > MAX_CHAIN_N:
+        raise DomainError(f"quotient_chain needs n <= {MAX_CHAIN_N}, got n={m_hi.n}")
+    if not is_lpm_quotient(m_lo, m_hi):
         return None
-    if m_lo == m_hi:
-        return []
-
-    u_target, l_target = set(m_lo.U), set(m_lo.L)
-
-    def dfs(cur, steps):
-        if cur == m_lo:
-            return steps
-        if cur.k <= m_lo.k:
-            return None
-        for pair in good_pairs(cur):
-            if pair.u in u_target or pair.l in l_target:
-                continue
-            nxt = elementary_quotient(cur, pair)
-            found = dfs(nxt, steps + [(pair, nxt)])
-            if found is not None:
-                return found
-        return None
-
-    chain = dfs(m_hi, [])
-    if chain is None:
-        raise RuntimeError(
-            f"no elementary chain from {m_hi} to quotient {m_lo}; "
-            "this contradicts the decomposition theorem for LPM quotients"
-        )
+    chain, cur = [], m_hi
+    for a, b in zip(sorted(set(m_hi.U) - set(m_lo.U)), sorted(set(m_hi.L) - set(m_lo.L))):
+        pair = good_pair(cur, a, b)
+        cur = elementary_quotient(cur, pair)
+        chain.append((pair, cur))
     return chain
 
 
@@ -197,24 +238,16 @@ def lpfm_flag(constituents) -> LPFMFlag:
     if ranks != list(range(1, n + 1)):
         raise DomainError(f"need ranks 1..{n}, got {ranks}")
     for a, b in zip(parts, parts[1:]):
-        if not is_quotient(to_set_matroid(a), to_set_matroid(b)):
+        if not is_lpm_quotient(a, b):
             raise DomainError(f"{a} is not a quotient of {b}")
-    flag = LPFMFlag(n=n, constituents=tuple(parts))
-    lpfm_interval(flag)  # raises if the step chains are malformed
-    return flag
+    return LPFMFlag(n=n, constituents=tuple(parts))
 
 
 def lpfm_interval(flag: LPFMFlag) -> BruhatInterval:
-    """[tau_L, tau_U]: Bruhat permutations of the L- and U-step chains."""
-    l_chain = tuple(frozenset(m.L) for m in flag.constituents)
-    u_chain = tuple(frozenset(m.U) for m in flag.constituents)
-    for name, ch in (("L", l_chain), ("U", u_chain)):
-        for a, b in zip(ch, ch[1:]):
-            if not a < b:
-                raise DomainError(f"{name}-steps of the flag do not form a chain")
-    tau_l = bruhat_permutation_of_chain(l_chain)
-    tau_u = bruhat_permutation_of_chain(u_chain)
-    return BruhatInterval(tau_l, tau_u)
+    """[tau_L, tau_U]: Bruhat permutations of the L- and U-step chains (chains,
+    as each constituent's steps lie inside the next one's: see the theorem)."""
+    chains = ([m.L for m in flag.constituents], [m.U for m in flag.constituents])
+    return BruhatInterval(*map(bruhat_permutation_of_chain, chains))
 
 
 def flag_of_interval(iv: BruhatInterval):

@@ -41,11 +41,12 @@ def _elements(mask: int) -> list[int]:
     return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _exchange_table(bases, n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+def _exchange_table(blist) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """(B, partners) for each basis mask B, in order: partners[x - 1], for each x
     in B, is the mask of the y outside B for which B - x + y is a basis."""
-    masks = list(map(_mask, bases))
+    masks = list(map(_mask, blist))
     family, table = set(masks), []
+    n = max(masks, default=0).bit_length()
     for b in masks:
         partners, outside = [0] * n, [1 << y for y in range(n) if not b >> y & 1]
         for x in _elements(b):
@@ -54,10 +55,9 @@ def _exchange_table(bases, n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple(table)
 
 
-def exchange_violation(bases):
-    """First (B1, B2, x), over the sorted bases, witnessing an exchange failure, or None."""
-    blist = sorted(bases, key=lambda b: tuple(sorted(b)))
-    table = _exchange_table(blist, max(map(max, filter(None, blist)), default=0))
+def _violation(blist, table):
+    """First (B1, B2, x) over blist, whose exchange table is given, witnessing an
+    exchange failure, or None."""
     for b1, (m1, partners) in zip(blist, table):
         keep = [(x, 1 << x - 1 | partners[x - 1]) for x in _elements(m1)]
         for b2, (m2, _) in zip(blist, table):
@@ -65,6 +65,12 @@ def exchange_violation(bases):
                 if not m2 & kept_by:
                     return b1, b2, x
     return None
+
+
+def exchange_violation(bases):
+    """First (B1, B2, x), over the sorted bases, witnessing an exchange failure, or None."""
+    blist = sorted(bases, key=lambda b: tuple(sorted(b)))
+    return _violation(blist, _exchange_table(blist))
 
 
 def matroid_from_bases(n: int, bases) -> SetMatroid:
@@ -79,10 +85,11 @@ def matroid_from_bases(n: int, bases) -> SetMatroid:
     sizes = {len(b) for b in bset}
     if len(sizes) != 1:
         raise DomainError(f"bases of unequal sizes: {sorted(sizes)}")
-    witness = exchange_violation(bset)
+    m = SetMatroid(n=n, bases=bset, rank=sizes.pop())
+    witness = _violation(m.sorted_bases(), _exchanges(m))  # the table criterion 3 reads
     if witness is not None:
         raise ExchangeAxiomError(*witness)
-    return SetMatroid(n=n, bases=bset, rank=sizes.pop())
+    return m
 
 
 def matroid_rank(m: SetMatroid, subset) -> int:
@@ -98,7 +105,7 @@ def is_independent(m: SetMatroid, subset) -> bool:
 
 @lru_cache(maxsize=None)
 def _exchanges(m: SetMatroid) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    return _exchange_table(m.sorted_bases(), m.n)
+    return _exchange_table(m.sorted_bases())
 
 
 @lru_cache(maxsize=None)

@@ -85,8 +85,9 @@ from .lpm import flag_of_interval
 from .perm import MAX_INTERVAL_N, BruhatInterval, dual_interval, identity, longest, set_sequences
 from .polytope import Face2D, faces_2d
 
-# largest n that exhaustive_scan accepts: `split scan -n 1000 --format json` took 1.1-1.7 s
-# and 110 MB on a 2-core machine; both grow as n^2 (4n hyperplanes hold their supports)
+# largest n that exhaustive_scan and theorem_hyperplanes accept: `split scan -n 1000
+# --format json` took 1.1-1.7 s and 110 MB on a 2-core machine, growing as n^2 (4n
+# hyperplanes hold their supports), and `split theorem -n 1000` 22 s and 260 MB
 MAX_SCAN_N = 1000
 
 
@@ -182,9 +183,10 @@ def _families(n: int) -> dict[SplitHyperplane, tuple[str, int, int]]:
 
 
 def theorem_hyperplanes(n: int) -> tuple[SplitHyperplane, ...]:
-    """The full list of good-split hyperplanes, deduplicated."""
-    if n < 3:
-        raise DomainError("need n >= 3")
+    """The full list of good-split hyperplanes, deduplicated, with the bound of
+    :func:`exhaustive_scan`, which lists the same hyperplanes."""
+    if not 3 <= n <= MAX_SCAN_N:
+        raise DomainError(f"theorem_hyperplanes needs 3 <= n <= {MAX_SCAN_N}, got n={n}")
     return tuple(sorted(_families(n), key=SplitHyperplane.sort_key))
 
 

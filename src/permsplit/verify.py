@@ -4,8 +4,8 @@ Each check cross-validates a library operation against a second computation
 route: cover-graph reachability for the Bruhat order, its intervals and
 their flags, the Grassmann-necklace test for the flags' positroids, dynamic
 programming for lattice-path counts, the three quotient criteria against each
-other on every LPM pair, and exhaustive flag enumeration for the
-interval/polytope correspondence.
+other and against the step-set rule on every LPM pair, and exhaustive flag
+enumeration for the interval/polytope correspondence.
 The CLI ``verify`` subcommand and the acceptance tests both run these.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from operator import ge, le
 
 from .errors import DomainError
@@ -24,9 +24,11 @@ from .lpm import (
     flag_of_interval,
     good_pairs,
     is_lpm,
+    is_lpm_quotient,
     lpfm_interval,
     lpm_bases,
     lpm_new,
+    quotient_chain,
     to_set_matroid,
     uniform_lpm,
 )
@@ -482,20 +484,38 @@ def _defined_lattice(m: SetMatroid):
 
 
 def check_quotient_criteria(n: int) -> CheckResult:
-    """The three quotient criteria agree, exhaustively on LPMs; every LPM passes the
-    exchange test that to_set_matroid skips and has its circuits and flats by definition."""
-    lpms = [to_set_matroid(m) for m in all_lpms(n)]
-    disagreements = sum(
-        len({is_quotient(m, big, c) for c in (1, 2, 3)}) != 1 for m in lpms for big in lpms
-    )
-    violations = sum(exchange_violation(m.bases) is not None for m in lpms)
-    wrong = sum((circuits(m), flats(m)) != _defined_lattice(m) for m in lpms)
+    """The three quotient criteria and the step-set rule agree, exhaustively on LPMs;
+    quotient_chain answers None exactly for the non-quotients and otherwise a chain
+    of good-pair removals ending at the quotient; every LPM passes the exchange test
+    that to_set_matroid skips and has its circuits and flats by definition."""
+    lpms = all_lpms(n)
+    disagreements = bad_chains = 0
+    for m, big in product(lpms, lpms):
+        verdicts = [is_quotient(to_set_matroid(m), to_set_matroid(big), c) for c in (1, 2, 3)]
+        disagreements += len({*verdicts, is_lpm_quotient(m, big)}) != 1
+        chain = quotient_chain(m, big)
+        if verdicts[0]:
+            bad_chains += chain is None or _chain_end(big, chain) != m
+        else:
+            bad_chains += chain is not None
+    violations = sum(exchange_violation(lpm_bases(m)) is not None for m in lpms)
+    wrong = sum((circuits(m), flats(m)) != _defined_lattice(m) for m in map(to_set_matroid, lpms))
     return _result(
         f"quotient-criteria[n={n}]",
-        disagreements == 0 and violations == 0 and wrong == 0,
-        f"{len(lpms) ** 2} pairs, {disagreements} disagreements, {violations} not matroids,"
-        f" {wrong} with other circuits or flats",
+        disagreements == bad_chains == violations == wrong == 0,
+        f"{len(lpms) ** 2} pairs, {disagreements} disagreements, {bad_chains} bad chains,"
+        f" {violations} not matroids, {wrong} with other circuits or flats",
     )
+
+
+def _chain_end(m, chain):
+    """Where a chain of (good pair, elementary quotient) steps from m ends, or None
+    at a step that is not one."""
+    for pair, nxt in chain:
+        if pair not in good_pairs(m) or nxt != elementary_quotient(m, pair):
+            return None
+        m = nxt
+    return m
 
 
 def check_good_pairs(n: int) -> CheckResult:

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from permsplit import matroid
 from permsplit.cli import UsageError, _emit, main, parse_hyperplane
 from permsplit.errors import _json_text
-from permsplit.perm import MAX_LATTICE_N, bruhat_interval, identity, longest
+from permsplit.lpm import MAX_CHAIN_N
+from permsplit.perm import MAX_LATTICE_N, bruhat_interval, identity, longest, perm_to_str
 from permsplit.splits import MAX_SCAN_N, SplitHyperplane, hyperplane_to_json, theorem_hyperplanes
 
 
@@ -267,7 +268,6 @@ LATTICE_REFUSALS = [
     ("matroid", "quotient-check", '{"n": 17, "bases": [[]]}', '{"n": 17, "bases": [[1]]}',
      "--criterion", "2"),
     ("matroid", "from-matrix", json.dumps([[(3 * i + j * j) % 7 for j in range(40)] for i in range(20)])),
-    ("lpm", "chain", "-n", "20", "1,2", "19,20", "1,2,3", "18,19,20"),
 ]
 
 
@@ -278,6 +278,40 @@ def test_lattice_bound_refuses_at_once(capsys, argv):
     assert time.perf_counter() - start < 1.0
     assert code == 1 and not out and "Traceback" not in err
     assert str(MAX_LATTICE_N) in err and err.startswith("error: ")
+
+
+def test_lpm_chain_answers_beyond_the_lattice_bound(capsys):
+    # the step-set rule needs no rank table of the 2^20 subsets
+    start = time.perf_counter()
+    code, out, err = run(capsys, "lpm", "chain", "-n", "20", "1,2", "19,20", "1,2,3", "18,19,20")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (0, "remove (3,18) -> M[1,2;19,20]\n", "")
+
+
+def test_flag_interval_answers_beyond_the_lattice_bound(capsys):
+    n = 20
+    flag = {"n": n, "constituents": [
+        {"n": n, "U": list(range(1, k + 1)), "L": list(range(n - k + 1, n + 1))} for k in range(1, n)
+    ]}
+    code, out, _ = run(capsys, "flag", "interval", json.dumps(flag), "--format", "json")
+    interval = {"lo": perm_to_str(identity(n)), "hi": perm_to_str(longest(n))}
+    assert code == 0 and json.loads(out) == {"interval": interval}
+
+
+@pytest.mark.parametrize("argv, bound", [
+    (("lpm", "chain", "-n", str(MAX_CHAIN_N + 1), "1", "1", "1", "1"), f"n <= {MAX_CHAIN_N}"),
+    (("split", "theorem", "-n", str(MAX_SCAN_N + 1)), f"n <= {MAX_SCAN_N}"),
+], ids=["lpm chain", "split theorem"])
+def test_size_bounds_refuse_at_once(capsys, argv, bound):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and not out and bound in err and err.startswith("error: ")
+
+
+def test_negative_n_exit_code(capsys):
+    code, out, err = run(capsys, "lpm", "bases", "-n", "-1", "-", "-")
+    assert (code, out, err) == (1, "", "error: n=-1 is negative\n")
 
 
 def test_lattice_bound_admits_n_16(capsys):

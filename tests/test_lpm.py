@@ -1,10 +1,12 @@
 import random
-from itertools import combinations
+import time
+from itertools import combinations, product
 
 import pytest
 
 from permsplit.errors import DomainError, GaleOrderError
 from permsplit.lpm import (
+    MAX_CHAIN_N,
     _flag_families,
     _is_lpm_family,
     elementary_quotient,
@@ -13,6 +15,7 @@ from permsplit.lpm import (
     good_pair,
     good_pairs,
     is_lpm,
+    is_lpm_quotient,
     lpfm_flag,
     lpfm_interval,
     lpm_bases,
@@ -27,6 +30,7 @@ from permsplit.matroid import SetMatroid, exchange_violation, is_quotient, matro
 from permsplit.perm import BruhatInterval, bruhat_leq, identity, longest
 from permsplit.polytope import permutahedron_vertices
 from permsplit.splits import check_split, theorem_hyperplanes
+from permsplit.verify import all_lpms
 
 
 def gale_interval_brute(n, upper, lower):
@@ -45,6 +49,9 @@ def test_lpm_new():
     with pytest.raises(GaleOrderError) as exc:
         lpm_new(4, (2, 4), (1, 2))
     assert exc.value.index == 1
+    with pytest.raises(DomainError, match="n=-1 is negative"):
+        lpm_new(-1, (), ())
+    assert lpm_bases(lpm_new(0, (), ())) == {frozenset()}
 
 
 def test_lpm_bases():
@@ -57,6 +64,21 @@ def test_lpm_bases():
         frozenset(s) for s in ({1, 2}, {1, 3}, {1, 4}, {2, 3}, {2, 4})
     }
     assert len(lpm_bases(uniform_lpm(2, 5))) == 10
+
+
+def test_lpm_bases_match_the_filter():
+    # every LPM of every rank up to n=7, against all k-subsets filtered by [U, L]
+    for n in range(8):
+        for m in all_lpms(n):
+            assert lpm_bases(m) == gale_interval_brute(n, m.U, m.L), m
+
+
+def test_lpm_bases_lists_only_the_interval():
+    # the filter would test all C(30, 15) = 155M subsets for the one basis
+    start = time.perf_counter()
+    m = lpm_new(30, range(1, 16), range(1, 16))
+    assert lpm_bases(m) == {frozenset(range(1, 16))}
+    assert time.perf_counter() - start < 1.0
 
 
 def test_lpm_bases_satisfy_exchange():
@@ -120,6 +142,76 @@ def test_quotient_chain():
     assert two[-1][1] == lpm_new(8, (1, 2), (3, 8))
     assert quotient_chain(lpm_new(4, (3, 4), (3, 4)), lpm_new(4, (1, 2), (1, 2))) is None
     assert quotient_chain(uniform_lpm(2, 4), uniform_lpm(2, 4)) == []
+
+
+def test_quotient_rule_matches_criterion_1():
+    for n in range(6):
+        lpms = all_lpms(n)
+        verdicts = set()
+        for lo, hi in product(lpms, lpms):
+            got = is_lpm_quotient(lo, hi)
+            assert got == is_quotient(to_set_matroid(lo), to_set_matroid(hi)), (lo, hi)
+            verdicts.add(got)
+        assert verdicts == {True, False} or n == 0
+
+
+def reference_quotient_chain(m_lo, m_hi):
+    """The depth-first search quotient_chain ran before the step-set rule: good
+    pairs in (j, i) order, steps of m_lo skipped, criterion 1 as the verdict."""
+    if not is_quotient(to_set_matroid(m_lo), to_set_matroid(m_hi)):
+        return None
+    u_target, l_target = set(m_lo.U), set(m_lo.L)
+
+    def dfs(cur, steps):
+        if cur == m_lo:
+            return steps
+        if cur.k <= m_lo.k:
+            return None
+        for pair in good_pairs(cur):
+            if pair.u in u_target or pair.l in l_target:
+                continue
+            nxt = elementary_quotient(cur, pair)
+            found = dfs(nxt, steps + [(pair, nxt)])
+            if found is not None:
+                return found
+        return None
+
+    return dfs(m_hi, [])
+
+
+def test_quotient_chain_matches_reference_search():
+    pairs = [pair for n in range(6) for pair in product(all_lpms(n), repeat=2)]
+    rng = random.Random(20261019)
+    n = 8
+    for _ in range(300):  # a random LPM, with a random pair or a random quotient below it
+        hi = lpm_new(n, *_random_steps(rng, n, rng.randint(1, n)))
+        if rng.random() < 0.5:
+            lo = lpm_new(n, *_random_steps(rng, n, rng.randint(0, hi.k)))
+        else:
+            lo = hi
+            for _ in range(rng.randint(0, hi.k)):
+                lo = elementary_quotient(lo, rng.choice(good_pairs(lo)))
+        pairs.append((lo, hi))
+    answers = set()
+    for lo, hi in pairs:
+        chain = quotient_chain(lo, hi)
+        assert chain == reference_quotient_chain(lo, hi), (lo, hi)
+        answers.add(None if chain is None else len(chain))
+    assert {None, 0, 1, 2, 3} <= answers
+
+
+def _random_steps(rng, n, k):
+    a, b = (sorted(rng.sample(range(1, n + 1), k)) for _ in range(2))
+    return tuple(map(min, a, b)), tuple(map(max, a, b))
+
+
+def test_quotient_chain_bound():
+    n = MAX_CHAIN_N
+    hi, lo = uniform_lpm(2, n), lpm_new(n, (1,), (n,))
+    assert [(p.u, p.l) for p, _ in quotient_chain(lo, hi)] == [(2, n - 1)]
+    big = uniform_lpm(2, n + 1)
+    with pytest.raises(DomainError, match=f"n <= {MAX_CHAIN_N}"):
+        quotient_chain(big, big)
 
 
 def test_is_lpm():

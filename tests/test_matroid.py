@@ -48,6 +48,20 @@ def test_from_bases_exchange_witness():
     assert exc.value.element == 1
 
 
+def test_validation_builds_the_table_criterion_3_reads(monkeypatch):
+    from permsplit import matroid
+
+    built = []
+    table = matroid._exchange_table
+    monkeypatch.setattr(matroid, "_exchange_table", lambda blist: built.append(blist) or table(blist))
+    matroid._exchanges.cache_clear()
+    small = matroid_from_json({"n": 4, "bases": [[1], [2]]})
+    big = matroid_from_json({"n": 4, "bases": [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4]]})
+    assert len(built) == 2
+    assert is_quotient(small, big, 3) and not is_quotient(big, small, 3)
+    assert len(built) == 2  # criterion 3 reused both tables
+
+
 def test_from_bases_rank_one_singletons():
     m = matroid_from_bases(4, B({2}, {3}, {4}))
     assert m.rank == 1 and len(m.bases) == 3
