@@ -92,17 +92,6 @@ def matroid_from_bases(n: int, bases) -> SetMatroid:
     return m
 
 
-def matroid_rank(m: SetMatroid, subset) -> int:
-    """rank(S) = max over bases of |B & S|."""
-    s = frozenset(subset)
-    return max(len(b & s) for b in m.bases)
-
-
-def is_independent(m: SetMatroid, subset) -> bool:
-    s = frozenset(subset)
-    return any(s <= b for b in m.bases)
-
-
 @lru_cache(maxsize=None)
 def _exchanges(m: SetMatroid) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return _exchange_table(m.sorted_bases())

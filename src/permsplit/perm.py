@@ -207,27 +207,18 @@ class BruhatInterval:
         return bruhat_interval(self.lo, self.hi)
 
 
+def _proved_interval(lo: Perm, hi: Perm) -> BruhatInterval:
+    """[lo, hi] for a pair proved comparable by its caller, without the
+    ``bruhat_leq`` check of the constructor."""
+    iv = object.__new__(BruhatInterval)
+    object.__setattr__(iv, "lo", lo)
+    object.__setattr__(iv, "hi", hi)
+    return iv
+
+
 def dual_interval(iv: BruhatInterval) -> BruhatInterval:
     """[lo, hi] -> [hi*, lo*]; an involution."""
     return BruhatInterval(dual_permutation(iv.hi), dual_permutation(iv.lo))
-
-
-def set_sequences(a, n: int):
-    """Four value sequences attached to a subset A of [n].
-
-    Returns ``(inc, dec, e_rest, w_rest)`` where ``inc``/``dec`` list A
-    increasingly/decreasingly and ``e_rest``/``w_rest`` are the identity and
-    the longest permutation with the values of A deleted.  Concatenate with
-    ``+`` to build permutations, e.g. ``inc + e_rest``.
-    """
-    aset = set(a)
-    if not aset <= set(range(1, n + 1)):
-        raise DomainError(f"{sorted(aset)} is not a subset of [{n}]")
-    inc = tuple(sorted(aset))
-    dec = tuple(reversed(inc))
-    e_rest = tuple(x for x in identity(n) if x not in aset)
-    w_rest = tuple(x for x in longest(n) if x not in aset)
-    return inc, dec, e_rest, w_rest
 
 
 def _validate_chain(chain: Chain) -> tuple[frozenset[int], ...]:

@@ -63,10 +63,48 @@ k = n - 1, S is outer and t = n(n+1)/2 - v - 1 covers lo + 1 .. hi - 1.
 'bad-hexagon'
 >>> exhaustive_scan(200) == theorem_hyperplanes(200)
 True
+>>> _first_face(1000, frozenset({1, 2}), 5, "bad-square").blocks[-3:]
+((998,), (1, 999), (2, 1000))
 
-``check_split`` reads the verdict from the theorem, names a bad split's first
-offending 2-face and gives a good one the closed-form ``predicted_cells``,
-which ``verify`` and the tests compare with the two closed sides.
+``check_split`` reads the verdict from the theorem.  A good split gets the
+closed-form ``predicted_cells``, whose two cells are LPM flags by the paper's
+theorem; ``verify`` and the tests compare them with the two closed sides and
+run ``flag_of_interval`` on them.  A bad split names its first offending
+2-face, which ``_first_face`` builds without listing the faces:
+
+Witness.  ``polytope.faces_2d`` lists the block profiles (block sizes, the
+first block on the largest values) in sorted order: a square's by the values
+{w, w+1} of its upper 2-block ascending, then {v, v+1} of its lower one, and
+a hexagon's by v ascending.  Within a profile it lists the faces by
+(block 1, block 2, ...), each block an ascending tuple of positions,
+lexicographically.  By the lemma's proof, a face of the verdict's shape
+forbids t exactly when each larger block meets S in an allowed pattern (one
+of a 2-block's positions; the middle, or the outer two, of a 3-block's) and
+the singleton values S takes sum to t less the larger blocks' share (v + w +
+1; v + 1 or 2v + 2).  So, given the blocks chosen so far, a face extending
+them exists exactly when some pattern of each larger block left (i) fits the
+free positions and (ii) leaves c of the singleton values left summing to
+what is left of t, c being the free positions in S less those the patterns
+take: singletons take the free positions in any order, and two 2-blocks
+that each fit, with c >= 0 and as many singletons outside S, fit together.
+Taking each block in turn as the least tuple with such a completion then
+gives the first face of the profile, since an earlier face would agree on
+the blocks before some block and have there a lesser tuple with one.  A
+hexagon's two patterns take different shares, so each is built on its own
+and the lesser face kept.  Once a larger block is placed, what is left to
+fit is at most a 2-block, which (ii) already provides for, so a larger block
+takes its pattern's least tuple, the leftmost embedding; a singleton's test
+(ii) reads only whether its position is in S, so (i) alone picks among the
+free positions of each kind, in ascending order.  For (ii): c values of a
+run of integers sum to every integer from the c least to the c greatest;
+from runs A < B, taking x values from A, both bounds fall as x grows, so the
+last x whose greatest sum reaches t decides; a third run, the shortest, is
+counted out first.  The first profile: (v, w) has such a face iff t - 1 - v
+- w is a sum of k - 2 values off {v, v+1, w, w+1}, that is, iff a k-set A
+of sum t - 1 holds w but not w + 1 and a value below w whose successor it
+does not hold.  Some v serves a given w iff A's x >= 1 values below w are not
+the run ending at w - 1; their sums then fill the least to one below the
+greatest, and with the values above w + 1, both bounds fall as x grows.
 
 Within the ambient hyperplane sum(x) = n(n+1)/2, the supports S and [n]-S
 with complementary levels describe the same hyperplane; SplitHyperplane
@@ -75,19 +113,20 @@ normalizes to the representative with the smaller (|S|, sorted S).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 from .errors import DomainError
-from .lpm import flag_of_interval
-from .perm import MAX_INTERVAL_N, BruhatInterval, dual_interval, identity, longest, set_sequences
-from .polytope import Face2D, faces_2d
+from .perm import BruhatInterval, _proved_interval, identity, longest
+from .polytope import Face2D, _block_extremes
 
-# largest n that exhaustive_scan and theorem_hyperplanes accept: `split scan -n 1000
-# --format json` took 1.1-1.7 s and 110 MB on a 2-core machine, growing as n^2 (4n
-# hyperplanes hold their supports), and `split theorem -n 1000` 22 s and 260 MB
+# largest n that exhaustive_scan, theorem_hyperplanes and check_split accept: `split
+# scan -n 1000 --format json` took 1.1-1.7 s and 110 MB on a 2-core machine, growing as
+# n^2 (4n hyperplanes hold their supports), `split theorem -n 1000` 8.7 s and 256 MB,
+# and the slowest of 40 bad `split check -n 1000` 1.7 s
 MAX_SCAN_N = 1000
 
 
@@ -149,7 +188,7 @@ class SplitReport:
 
     ``cells`` is ordered (cell containing the identity, cell containing the
     longest permutation); ``lpfm`` holds the two flag verdicts in the same
-    order.  ``reason`` explains not-a-split outcomes.
+    order, both true by the paper's theorem.  ``reason`` explains not-a-split outcomes.
     """
 
     verdict: str  # "good-split" | "bad-square" | "bad-hexagon" | "not-a-split"
@@ -208,21 +247,98 @@ def _verdict(n: int, support, level: int) -> str:
     return "bad-hexagon" if hexagons else "good-split"
 
 
-def _offending_face(n: int, support: frozenset[int], level: int, verdict: str) -> Face2D:
+def _tri(a: int, b: int) -> int:
+    """a + (a + 1) + ... + b, or 0 when b = a - 1."""
+    return (a + b) * (b - a + 1) // 2
+
+
+def _meets(least, most, i: int, j: int, lo: int, hi: int) -> bool:
+    """Whether [least(x), most(x)] meets [lo, hi] for some i <= x <= j, where
+    least and most both fall as x grows: the last x with most(x) >= lo has
+    the least least(x) of those."""
+    x = i - 1 + bisect_right(range(i, j + 1), -lo, key=lambda x: -most(x))
+    return x >= i and least(x) <= hi
+
+
+def _reaches(runs, c: int, lo: int, hi: int) -> bool:
+    """Whether c distinct values from ``runs``, at most three disjoint runs
+    (a, b) of integers in ascending order, can sum into [lo, hi]."""
+    runs = [r for r in runs if r[0] <= r[1]]
+    if len(runs) == 3:  # count the shortest run out; two remain
+        s = min(range(3), key=lambda i: runs[i][1] - runs[i][0])
+        (a, b), rest = runs[s], runs[:s] + runs[s + 1 :]
+        return any(_reaches(rest, c - x, lo - _tri(b - x + 1, b), hi - _tri(a, a + x - 1))
+                   for x in range(min(c, b - a + 1) + 1))
+    (a, b), (p, q) = ([(1, 0)] * 2 + runs)[-2:]
+    return _meets(
+        lambda x: _tri(a, a + x - 1) + _tri(p, p + c - x - 1),
+        lambda x: _tri(b - x + 1, b) + _tri(q - c + x + 1, q),
+        max(0, c - (q - p + 1)), min(c, b - a + 1), lo, hi,
+    )
+
+
+def _embed(pattern, free, support) -> tuple[int, ...] | None:
+    """The least ascending tuple of free positions, in S exactly where the
+    pattern says (its leftmost embedding), or None."""
+    it = iter(free)
+    pos = tuple(next((p for p in it if (p in support) == inside), None) for inside in pattern)
+    return None if None in pos else pos
+
+
+def _profiles(n: int, support: frozenset[int], level: int, square: bool) -> list:
+    """The first block profile of the shape with a face that forbids the
+    level, once for each way its larger blocks may meet S there: ({block
+    index: (value run, membership patterns, positions in S)}, the level left
+    for the singletons)."""
+    k = len(support)
+    if square:
+        t = level - 1
+        w = next(w for w in range(3, n) if _meets(  # x values of A below w
+            lambda x: w + _tri(1, x) + _tri(w + 2, w + k - x),
+            lambda x: w + _tri(w - x, w - 1) - 1 + _tri(n - k + x + 2, n),
+            max(1, k - n + w), min(w - 2, k - 1), t, t,
+        ))
+        v = next(v for v in range(1, w - 1) if _reaches(
+            ((1, v - 1), (v + 2, w - 1), (w + 2, n)), k - 2, t - v - w, t - v - w))
+        pair = ((True, False), (False, True))
+        return [({n - 1 - w: ((w, w + 1), pair, 1), n - 2 - v: ((v, v + 1), pair, 1)}, t - v - w)]
+    mid, outer = (False, True, False), (True, False, True)  # a 3-block's patterns
+    for v in range(1, n - 1):
+        found = [
+            ({n - 2 - v: ((v, v + 2), (pattern,), ins)}, level - share)
+            for pattern, ins, share in ((mid, 1, v + 1), (outer, 2, 2 * v + 2))
+            if _embed(pattern, range(1, n + 1), support)
+            and _reaches(((1, v - 1), (v + 3, n)), k - ins, level - share, level - share)
+        ]
+        if found:
+            return found
+
+
+def _first_face(n: int, support: frozenset[int], level: int, verdict: str) -> Face2D:
     """The first face in ``faces_2d`` order of the verdict's shape that
-    forbids the level.  S must take some but not all positions of each
-    larger block; then a square forbids the level its lo and hi average to,
-    and a hexagon the level at which both its lo and hi sit."""
-    idx = [i - 1 for i in support]
-    for face in faces_2d(n):
-        if verdict != "bad-" + face.shape or not all(
-            0 < len(support.intersection(b)) < len(b) for b in face.blocks if len(b) > 1
-        ):
-            continue
-        x_lo, x_hi = sum(face.lo[i] for i in idx), sum(face.hi[i] for i in idx)
-        if (x_lo + x_hi == 2 * level) if face.shape == "square" else (x_lo == x_hi == level):
-            return face
-    raise RuntimeError(f"no 2-face of Π_{n} forbids the level {level} ({verdict})")
+    forbids the level, built block by block (see Witness above)."""
+    faces = []
+    for big, left in _profiles(n, support, level, verdict == "bad-square"):
+        free, blocks, top = list(range(1, n + 1)), [], n
+        c = len(support) - sum(ins for _, _, ins in big.values())  # S's singletons left
+        for j in range(n - 2):
+            if j in big:
+                (a, top), patterns, _ = big.pop(j)
+                pos = min(filter(None, (_embed(pattern, free, support) for pattern in patterns)))
+            else:  # the least position that leaves a completion
+                a, edges = top, [0, *(e for r, _, _ in sorted(big.values()) for e in r), top]
+                runs = [(x + 1, y - 1) for x, y in zip(edges[::2], edges[1::2])]
+                ok = [_reaches(runs, c - i, left - a * i, left - a * i) for i in (0, 1)]
+                pos = next((p,) for p in free if ok[p in support] and all(
+                    any(_embed(pattern, [q for q in free if q != p], support) for pattern in patterns)
+                    for _, patterns, _ in big.values()
+                ))
+                left, c = left - a * (pos[0] in support), c - (pos[0] in support)
+            blocks.append(pos)
+            free, top = [p for p in free if p not in pos], a - 1
+        faces.append(tuple(blocks))
+    blocks = min(faces)
+    return Face2D(blocks, verdict.removeprefix("bad-"), *_block_extremes(blocks, n))
 
 
 def _require_good(h: SplitHyperplane) -> None:
@@ -234,62 +350,47 @@ def _require_good(h: SplitHyperplane) -> None:
 def check_split(h: SplitHyperplane) -> SplitReport:
     """Classify the split induced by h; all failures are verdicts.
 
-    A good split gets the closed-form ``predicted_cells``.  A bad split names
-    its first offending face in ``faces_2d(n)``, so n <= MAX_INTERVAL_N.
+    A good split gets the closed-form ``predicted_cells``, LPM flags by the
+    paper's theorem; a bad split its first offending face in ``faces_2d``
+    order, built by ``_first_face``.
     """
-    n, level = h.n, h.level
-    if n > MAX_INTERVAL_N:  # the bad path builds faces_2d(n)
-        raise DomainError(f"check_split needs n <= {MAX_INTERVAL_N}, got n={n}")
-    verdict = _verdict(n, h.support, level)
+    if h.n > MAX_SCAN_N:
+        raise DomainError(f"check_split needs n <= {MAX_SCAN_N}, got n={h.n}")
+    verdict = _verdict(h.n, h.support, h.level)
     if verdict == "not-a-split":
         return SplitReport(verdict=verdict, reason="a strict side is empty")
     if verdict != "good-split":
-        face = _offending_face(n, h.support, level, verdict)
+        face = _first_face(h.n, h.support, h.level, verdict)
         return SplitReport(verdict=verdict, offending_face=face)
-    cells = predicted_cells(h)  # by the theorem, h is in a family
-    lpfm = tuple(flag_of_interval(cell)[1] for cell in cells)
-    return SplitReport(verdict="good-split", cells=cells, lpfm=lpfm)
+    return SplitReport(verdict=verdict, cells=predicted_cells(h), lpfm=(True, True))
 
 
 def predicted_cells(h: SplitHyperplane):
     """Closed-form (identity cell, top cell) for recognized hyperplanes.
 
     Prefix-low with width j removes A = {1, ..., j-1, j+1}: the cells are
-    [e, dec(A)+w_A] and [inc(A)+e_A, w].  Prefix-high is the dual of
-    prefix-low of the same width.  Coordinate hyperplanes x_1 = r give
-    [e, r+w_r] and [r+e_r, w]; x_n = r gives [e, w_r+r] and [e_r+r, w],
-    where the identity sits in the x_n >= r cell.
+    [e, dec(A)+w_A] and [inc(A)+e_A, w], where inc/dec list A up/down and
+    e_A/w_A are e and w with the values of A deleted.  Prefix-high of width j
+    gives their duals [hi*, lo*], where u* = (n+1) - u entrywise, the sides
+    swapped.  Coordinate hyperplanes x_1 = r give [e, r+w_r] and [r+e_r, w];
+    x_n = r gives [e, w_r+r] and [e_r+r, w], where the identity sits in the
+    x_n >= r cell.  Each is a Bruhat interval by the theorem, so the cells
+    skip ``BruhatInterval``'s order check.
     """
     kind = _families(h.n).get(h)
     if kind is None:
         return None
-    n = h.n
-    family, arg, level = kind
-    e, w = identity(n), longest(n)
+    n, (family, j, r) = h.n, kind  # j: the prefix's width, or the coordinate
     if family == "prefix-low":
-        a = set(range(1, arg)) | {arg + 1}
-        inc, dec, e_rest, w_rest = set_sequences(a, n)
-        return (
-            BruhatInterval(e, dec + w_rest),
-            BruhatInterval(inc + e_rest, w),
-        )
-    if family == "prefix-high":
-        low_twin = SplitHyperplane(
-            n=n, support=frozenset(range(1, arg + 1)), level=comb(arg + 1, 2) + 1
-        )
-        lo_cell, hi_cell = predicted_cells(low_twin)
-        return (dual_interval(hi_cell), dual_interval(lo_cell))
-    i, r = arg, level
-    _, _, e_rest, w_rest = set_sequences({r}, n)
-    if i == 1:
-        return (
-            BruhatInterval(e, (r,) + w_rest),
-            BruhatInterval((r,) + e_rest, w),
-        )
-    return (
-        BruhatInterval(e, w_rest + (r,)),
-        BruhatInterval(e_rest + (r,), w),
-    )
+        top = (j + 1, *range(j - 1, 0, -1), *range(n, j + 1, -1), j)
+        bottom = (*range(1, j), j + 1, j, *range(j + 2, n + 1))
+    elif family == "prefix-high":
+        top = (*range(n, n - j + 1, -1), n - j, n - j + 1, *range(n - j - 1, 0, -1))
+        bottom = (n - j, *range(n - j + 2, n + 1), *range(1, n - j), n - j + 1)
+    else:
+        down, up = (*range(n, r, -1), *range(r - 1, 0, -1)), (*range(1, r), *range(r + 1, n + 1))
+        top, bottom = ((r, *down), (r, *up)) if j == 1 else ((*down, r), (*up, r))
+    return _proved_interval(identity(n), top), _proved_interval(bottom, longest(n))
 
 
 def dual_hyperplane(h: SplitHyperplane) -> SplitHyperplane:

@@ -50,6 +50,7 @@ from .perm import (
 from .polytope import (
     LinearConstraint,
     enumerate_vertices,
+    faces_2d,
     flag_polytope_vertices,
     is_bip,
     is_permutation_point,
@@ -306,47 +307,44 @@ def check_interval_polytope_match(n: int, seed: int = 0) -> CheckResult:
 
 
 def check_theorem_hyperplanes(n: int) -> CheckResult:
-    """Every listed hyperplane is a good split whose cells are LPM flags."""
+    """Both cells of every listed hyperplane are LPM flags, as the paper
+    proves and ``check_split`` takes on trust; ``split-classification``
+    checks the list itself."""
     hyps = theorem_hyperplanes(n)
-    problems = []
-    for h in hyps:
-        report = check_split(h)
-        if report.verdict != "good-split":
-            problems.append(f"{h}: verdict {report.verdict}")
-            continue
-        if report.lpfm != (True, True):
-            problems.append(f"{h}: cells are not LPM flags")
-    detail = f"{len(hyps)} hyperplanes"
-    if n == 4:
-        expected = {
-            SplitHyperplane(n=4, support=frozenset({1, 2}), level=4),
-            SplitHyperplane(n=4, support=frozenset({1, 2}), level=6),
-            SplitHyperplane(n=4, support=frozenset({1}), level=2),
-            SplitHyperplane(n=4, support=frozenset({1}), level=3),
-            SplitHyperplane(n=4, support=frozenset({4}), level=2),
-            SplitHyperplane(n=4, support=frozenset({4}), level=3),
-        }
-        if set(hyps) != expected:
-            problems.append("n=4 list differs from the six expected hyperplanes")
-    return _result(
-        f"theorem-hyperplanes[n={n}]",
-        not problems,
-        detail if not problems else "; ".join(problems),
-    )
+    bad = [f"{h}: cells are not LPM flags" for h in hyps
+           if not all(flag_of_interval(cell)[1] for cell in predicted_cells(h))]
+    return _result(f"theorem-hyperplanes[n={n}]", not bad, "; ".join(bad) or f"{len(hyps)} hyperplanes")
+
+
+def _face_walk(n: int, support, level: int):
+    """(verdict, face) from the 2-faces' own ranges of x_S, never from the
+    class lemma: the first square of ``faces_2d`` order cut strictly by the
+    level, else the first such hexagon with lo and hi not strictly on
+    opposite sides; (None, None) when no face forbids the level."""
+    first = {}
+    for face in faces_2d(n):
+        low = high = 0
+        for block in face.blocks:  # S takes m of the block's run of values
+            values, m = sorted(face.lo[p - 1] for p in block), len(support.intersection(block))
+            low, high = low + sum(values[:m]), high + sum(values[len(values) - m :])
+        x_lo, x_hi = (sum(p[i - 1] for i in support) - level for p in (face.lo, face.hi))
+        if low < level < high and (face.shape == "square" or x_lo * x_hi >= 0):
+            first.setdefault(face.shape, face)
+    shape = "square" if "square" in first else "hexagon"
+    return ("bad-" + shape, first[shape]) if first else (None, None)
 
 
 def check_classification(n: int) -> CheckResult:
     """The exhaustive scan finds exactly the listed hyperplanes, and at every
     canonical support and level strictly inside its range the verdict is
     good-split exactly when both closed sides are Bruhat intervals, which
-    are then the closed-form cells, the identity's side first."""
+    are then the closed-form cells, the identity's side first; a bad verdict
+    and its face are those of the walk over the 2-faces."""
     scanned = exhaustive_scan(n)
     listed = theorem_hyperplanes(n)
     problems = []
     if set(scanned) != set(listed):
-        problems.append(
-            f"scan found {len(scanned)} hyperplanes, expected {len(listed)}"
-        )
+        problems.append(f"scan found {len(scanned)} hyperplanes, expected {len(listed)}")
     perms = permutahedron_vertices(n)
     levels = 0
     for s in _canonical_supports(n):
@@ -354,29 +352,23 @@ def check_classification(n: int) -> CheckResult:
         lo, hi = _support_bounds(n, len(s))
         for t in range(lo + 1, hi):
             levels += 1
-            sides = [
-                is_bip([p for p, v in zip(perms, values) if side(v, t)])
-                for side in (le, ge)
-            ]
+            sides = [is_bip([p for p, v in zip(perms, values) if side(v, t)]) for side in (le, ge)]
             good = None not in sides
             h = SplitHyperplane(n=n, support=frozenset(s), level=t)
-            if good != (_verdict(n, s, t) == "good-split"):
+            report = check_split(h)
+            if good != (report.verdict == "good-split"):
                 problems.append(f"{h}: verdict disagrees with the sides")
             elif good:
                 cells = tuple(sides if sides[0].lo == identity(n) else reversed(sides))
-                if cells != predicted_cells(h):
+                if cells != report.cells:
                     problems.append(f"{h}: cells differ from the closed form")
-    if n == 4:
-        square = check_split(SplitHyperplane(n=4, support=frozenset({1, 2}), level=5))
-        hexa = check_split(SplitHyperplane(n=4, support=frozenset({3}), level=3))
-        if square.verdict != "bad-square":
-            problems.append(f"x1+x2=5 verdict {square.verdict}")
-        if hexa.verdict != "bad-hexagon":
-            problems.append(f"x3=3 verdict {hexa.verdict}")
+            elif (report.verdict, report.offending_face) != _face_walk(n, h.support, t):
+                problems.append(f"{h}: verdict or face differs from the face walk")
     return _result(
         f"split-classification[n={n}]",
         not problems,
         f"{len(scanned)} good splits, {levels} levels match the interval test"
+        f" and {levels - len(scanned)} bad ones the face walk"
         if not problems
         else "; ".join(problems),
     )

@@ -240,8 +240,6 @@ def test_size_limits_exit_code(capsys):
     assert f"3 <= n <= {MAX_SCAN_N}" in err
     code, out, err = run(capsys, "bruhat", "interval", "123456789", "987654321")
     assert code == 1 and not out and "n <= 8" in err
-    code, out, err = run(capsys, "split", "check", "-n", "9", "x1+x2=7")
-    assert code == 1 and not out and "n <= 8" in err
     code, out, err = run(capsys, "poset", "build", "-n", "5")
     assert code == 1 and not out and "n <= 4" in err
     code, out, err = run(capsys, "verify", "-n", "6")
@@ -301,12 +299,27 @@ def test_flag_interval_answers_beyond_the_lattice_bound(capsys):
 @pytest.mark.parametrize("argv, bound", [
     (("lpm", "chain", "-n", str(MAX_CHAIN_N + 1), "1", "1", "1", "1"), f"n <= {MAX_CHAIN_N}"),
     (("split", "theorem", "-n", str(MAX_SCAN_N + 1)), f"n <= {MAX_SCAN_N}"),
-], ids=["lpm chain", "split theorem"])
+    (("split", "check", "-n", str(MAX_SCAN_N + 1), "x1+x2=5"), f"n <= {MAX_SCAN_N}"),
+], ids=["lpm chain", "split theorem", "split check"])
 def test_size_bounds_refuse_at_once(capsys, argv, bound):
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1.0
     assert code == 1 and not out and bound in err and err.startswith("error: ")
+
+
+def test_split_check_answers_at_the_scan_bound(capsys):
+    # a bad split's face is built from the lemma, a good split's cells are in
+    # closed form: neither lists the 2-faces of the permutahedron
+    n = MAX_SCAN_N
+    code, out, err = run(capsys, "split", "check", "-n", str(n), "x1+x2=5", "--format", "json")
+    doc = json.loads(out)
+    assert (code, err, doc["verdict"]) == (0, "", "bad-square")
+    assert doc["offending_face"]["blocks"][-2:] == [[1, n - 1], [2, n]]  # on values 3, 4 and 1, 2
+    code, out, err = run(capsys, "split", "check", "-n", str(n), "x1=2")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0].split() == ["verdict", "good-split"]
+    assert out.splitlines()[-1].split() == ["lpfm", "true,", "true"]
 
 
 def test_negative_n_exit_code(capsys):

@@ -12,12 +12,10 @@ from permsplit.matroid import (
     circuits,
     exchange_violation,
     flats,
-    is_independent,
     is_quotient,
     matroid_from_bases,
     matroid_from_json,
     matroid_from_rational_matrix,
-    matroid_rank,
     matroid_to_json,
 )
 from permsplit.verify import all_lpms
@@ -96,9 +94,9 @@ def test_flats():
 def test_flats_are_rank_closed():
     for m in (to_set_matroid(uniform_lpm(2, 4)), matroid_from_bases(3, B({1}, {3}))):
         for f in flats(m):
-            r = matroid_rank(m, f)
+            r = ref_rank(m, f)
             for e in m.ground() - f:
-                assert matroid_rank(m, f | {e}) > r
+                assert ref_rank(m, f | {e}) > r
 
 
 def test_quotient_criteria_on_named_pairs():
@@ -240,9 +238,6 @@ def ref_is_quotient(m, n, criterion):
 def assert_matches_reference(m):
     assert circuits(m) == ref_circuits(m), m
     assert flats(m) == ref_flats(m), m
-    for s in powerset(range(m.n + 2)):  # 0 and n + 1 lie in no basis
-        assert matroid_rank(m, s) == ref_rank(m, s), (m, s)
-        assert is_independent(m, s) == ref_independent(m, s), (m, s)
 
 
 def random_family(rng, n, k):
@@ -301,5 +296,3 @@ def test_kernel_on_loops_and_coloops():
     for c in (1, 2, 3):
         assert is_quotient(zero5, mixed, c) and not is_quotient(mixed, zero5, c)
         assert is_quotient(mixed, mixed, c) and is_quotient(rank0, rank0, c)
-    assert matroid_rank(mixed, {0, 1, 2, 6}) == 2 and not is_independent(mixed, {0})
-    assert is_independent(mixed, {1, 3}) and not is_independent(mixed, {1, 6})

@@ -25,7 +25,6 @@ from permsplit.perm import (
     perm,
     perm_from_str,
     perm_to_str,
-    set_sequences,
 )
 
 
@@ -304,19 +303,6 @@ def test_dual_interval():
     )
     iv2 = dual_interval(BruhatInterval((1, 3, 2, 4, 5, 6), longest(6)))
     assert iv2 == BruhatInterval(identity(6), (6, 4, 5, 3, 2, 1))
-
-
-def test_set_sequences():
-    inc, dec, e_rest, w_rest = set_sequences({3, 5, 6}, 7)
-    assert (inc, dec, e_rest, w_rest) == (
-        (3, 5, 6),
-        (6, 5, 3),
-        (1, 2, 4, 7),
-        (7, 4, 2, 1),
-    )
-    assert inc + e_rest == (3, 5, 6, 1, 2, 4, 7)
-    assert w_rest + dec == (7, 4, 2, 1, 6, 5, 3)
-    assert set_sequences(set(), 3) == ((), (), (1, 2, 3), (3, 2, 1))
 
 
 def test_chain_to_permutation():

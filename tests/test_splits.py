@@ -1,3 +1,4 @@
+import random
 from functools import lru_cache
 from itertools import combinations
 
@@ -342,6 +343,77 @@ def test_open_levels_match_check_split():
             report = check_split(h)
             assert (report.verdict == "good-split") == (t in slow), (n, s, t)
             assert (report.verdict, report.offending_face) == sweep_oracle(h), (n, s, t)
+
+
+def _offending_face(n, support, level, verdict):
+    """The first face in faces_2d order of the verdict's shape that forbids
+    the level, by walking the faces: S must take some but not all positions
+    of each larger block; then a square forbids the level its lo and hi
+    average to, and a hexagon the level at which both its lo and hi sit."""
+    idx = [i - 1 for i in support]
+    for face in faces_2d(n):
+        if verdict != "bad-" + face.shape or not all(
+            0 < len(support.intersection(b)) < len(b) for b in face.blocks if len(b) > 1
+        ):
+            continue
+        x_lo, x_hi = sum(face.lo[i] for i in idx), sum(face.hi[i] for i in idx)
+        if (x_lo + x_hi == 2 * level) if face.shape == "square" else (x_lo == x_hi == level):
+            return face
+    return None
+
+
+def bad_levels(n):
+    for s in _canonical_supports(n):
+        lo, hi = _support_bounds(n, len(s))
+        for t in range(lo + 1, hi):
+            if _verdict(n, s, t) != "good-split":
+                yield H(n, s, t)
+
+
+def test_first_face_matches_the_face_walk():
+    # the built face against the walk over faces_2d, on every bad level of
+    # every canonical support at n <= 6 and on a seeded sample at n = 7
+    cases = [h for n in range(3, 7) for h in bad_levels(n)]
+    cases += random.Random(7).sample(list(bad_levels(7)), 100)
+    for h in cases:
+        report = check_split(h)
+        face = _offending_face(h.n, h.support, h.level, report.verdict)
+        assert report.offending_face == face is not None, h
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(5, 40).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.integers(1, n), min_size=1, max_size=n - 1), st.integers(0, 10**6))))
+def test_first_face_is_a_forbidding_face(args):
+    # the face, from its own vertices: a 2-face of the verdict's shape, cut
+    # strictly by the level, a hexagon's lo and hi both on it
+    n, support, pick = args
+    lo, hi = _support_bounds(n, len(support))
+    h = H(n, support, lo + 1 + pick % (hi - lo - 1))
+    report = check_split(h)
+    if report.verdict == "good-split":
+        return
+    face = report.offending_face
+    assert sorted(p for b in face.blocks for p in b) == list(range(1, n + 1))
+    sizes = sorted(len(b) for b in face.blocks)
+    assert sizes == ([1] * (n - 4) + [2, 2] if face.shape == "square" else [1] * (n - 3) + [3])
+    assert report.verdict == "bad-" + face.shape
+    verts = face_vertices(face, n)
+    assert (face.lo, face.hi) == (min(verts), max(verts))
+
+    def x(v):
+        return sum(v[i - 1] for i in h.support)
+
+    assert min(map(x, verts)) < h.level < max(map(x, verts))
+    if face.shape == "hexagon":
+        assert x(face.lo) == x(face.hi) == h.level
+
+
+def test_predicted_cells_are_lpm_flags():
+    # what check_split takes from the paper's theorem
+    for n in range(3, 11):
+        for h in theorem_hyperplanes(n):
+            assert all(flag_of_interval(cell)[1] for cell in predicted_cells(h)), h
 
 
 @st.composite
