@@ -1,8 +1,17 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 domain errors, 2 usage errors.  ``--format json``
-gives machine output everywhere; the default is an aligned table, and
-``poset`` also writes Graphviz DOT with ``--format dot``.
+Exit codes: 0 success, 1 domain errors, 2 usage errors, 3 a broken internal
+invariant (``errors.InvariantError``, a fault of the program, not of the
+input).  ``--format json`` gives machine output everywhere; the default is
+an aligned table, and ``poset`` also writes Graphviz DOT with ``--format dot``.
+
+``build_parser`` makes the argparse tree once per process, with a table of
+its leaf parsers keyed by (command, action).  ``main`` hands the
+arguments after those two words straight to that leaf, one argparse level
+instead of three; it falls back to the whole tree when no leaf matches (help,
+no command, an unknown command or action, ``verify``, options before the
+command) or the leaf leaves extras, so every help text and error, and the
+``unrecognized arguments`` message of prog ``permsplit``, are argparse's own.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ import re
 import sys
 from functools import lru_cache
 
-from .errors import DomainError, _json_text
+from .errors import DomainError, InvariantError, _json_text
 from . import lpm as lpm_mod
 from . import matroid as matroid_mod
 from . import subdivision as subdivision_mod
@@ -366,9 +375,15 @@ def _cmd_verify(args) -> int:
     return 0 if passed == len(results) else 1
 
 
-@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process and reused by every ``main``."""
+    return _parsers()[0]
+
+
+@lru_cache(maxsize=None)
+def _parsers() -> tuple[argparse.ArgumentParser, dict[tuple[str, str], argparse.ArgumentParser]]:
+    """The argparse tree and its leaf parsers by (command, action)."""
+    leaves = {}
     parser = argparse.ArgumentParser(
         prog="permsplit",
         description="Bruhat order, lattice path matroid flags, and hyperplane "
@@ -376,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     groups = parser.add_subparsers(dest="command", required=True)
 
-    def action_parser(group, name, func, **kwargs):
-        p = group.add_parser(name, **kwargs)
+    def action_parser(group, command, name, func):
+        p = leaves[command, name] = group.add_parser(name)
         p.set_defaults(func=func, action=name)
         formats = ("table", "json", "dot") if func is _cmd_poset else ("table", "json")
         p.add_argument("--format", choices=formats, default="table")
@@ -387,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="action", required=True
     )
     for name in ("leq", "interval", "dual"):
-        p = action_parser(bruhat, name, _cmd_bruhat)
+        p = action_parser(bruhat, "bruhat", name, _cmd_bruhat)
         count = "+" if name == "dual" else 2
         p.add_argument("perms", nargs=count, help="e.g. 3142 or 10,3,1,2,...")
 
@@ -395,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="action", required=True
     )
     for name, count in (("bases", 2), ("good-pairs", 2), ("quotient", 2), ("chain", 4)):
-        p = action_parser(lpm, name, _cmd_lpm)
+        p = action_parser(lpm, "lpm", name, _cmd_lpm)
         p.add_argument("-n", type=int, required=True)
         p.add_argument("args", nargs=count, help="step sets, e.g. 1246 3568")
         if name == "quotient":
@@ -408,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("validate", 1), ("circuits", 1), ("flats", 1),
         ("quotient-check", 2), ("from-matrix", 1),
     ):
-        p = action_parser(matroid, name, _cmd_matroid)
+        p = action_parser(matroid, "matroid", name, _cmd_matroid)
         p.add_argument("docs", nargs=count, help="JSON text, @file, or - for stdin")
         if name == "quotient-check":
             p.add_argument("--criterion", choices=("1", "2", "3", "all"), default="all")
@@ -417,14 +432,14 @@ def build_parser() -> argparse.ArgumentParser:
         dest="action", required=True
     )
     for name, count in (("interval", 1), ("polytope", 1), ("of-interval", 2)):
-        p = action_parser(flag, name, _cmd_flag)
+        p = action_parser(flag, "flag", name, _cmd_flag)
         p.add_argument("args", nargs=count)
 
     split = groups.add_parser("split", help="hyperplane split checks").add_subparsers(
         dest="action", required=True
     )
     for name in ("check", "scan", "theorem", "dual"):
-        p = action_parser(split, name, _cmd_split)
+        p = action_parser(split, "split", name, _cmd_split)
         p.add_argument("-n", type=int, required=True)
         if name in ("check", "dual"):
             p.add_argument("hyperplane", help='e.g. "x1+x2=5" or "x_{1,3}=7"')
@@ -433,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
         "poset", help="refinement poset of subdivisions"
     ).add_subparsers(dest="action", required=True)
     for name in ("build", "export"):
-        p = action_parser(poset, name, _cmd_poset)
+        p = action_parser(poset, "poset", name, _cmd_poset)
         p.add_argument("-n", type=int, required=True)
 
     p = groups.add_parser("verify", help="run the verification checks for one n")
@@ -441,13 +456,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify)
 
-    return parser
+    return parser, leaves
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser, leaves = _parsers()
+    leaf = leaves.get(tuple(argv[:2]))
     try:
-        args = parser.parse_args(argv)
+        if leaf is not None:
+            args, extras = leaf.parse_known_args(argv[2:])
+            args.command = argv[0]
+        if leaf is None or extras:  # the tree reports extras, as prog permsplit
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
@@ -458,6 +479,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -45,6 +45,15 @@ class DomainError(ValueError):
     """Structurally well-formed input that violates a mathematical precondition."""
 
 
+class InvariantError(Exception):
+    """A result the library proves impossible; a fault of the program, not of
+    its input.  ``witness`` holds what breaks the invariant."""
+
+    def __init__(self, message, witness):
+        self.witness = witness
+        super().__init__(message)
+
+
 class ExchangeAxiomError(DomainError):
     """Basis exchange fails; carries a concrete witness (B1, B2, x)."""
 

@@ -221,6 +221,29 @@ def _families(n: int) -> dict[SplitHyperplane, tuple[str, int, int]]:
     return table
 
 
+def _label(h: SplitHyperplane) -> tuple[str, int, int] | None:
+    """``_families(h.n).get(h)``, read from the support and level alone.
+
+    A normalized support keeps a prefix {1..j} when j <= n - j and turns a
+    longer one into the suffix {j+1..n} at the complementary level, which
+    swaps the prefix's lo + 1 and hi - 1; {1} and {n} are coordinates.
+    """
+    n, s, t = h.n, h.support, h.level
+    k = len(s)
+    lo, hi = _support_bounds(n, k)
+    if not lo < t < hi:
+        return None
+    if k == 1 and (1 in s or n in s):
+        return "coordinate", min(s), t
+    if t not in (lo + 1, hi - 1):
+        return None
+    if max(s) == k:  # the prefix {1..k}
+        return "prefix-low" if t == lo + 1 else "prefix-high", k, t
+    if min(s) == n - k + 1:  # the suffix {n-k+1..n}: the prefix {1..n-k} at total - t
+        return "prefix-low" if t == hi - 1 else "prefix-high", n - k, n * (n + 1) // 2 - t
+    return None
+
+
 def theorem_hyperplanes(n: int) -> tuple[SplitHyperplane, ...]:
     """The full list of good-split hyperplanes, deduplicated, with the bound of
     :func:`exhaustive_scan`, which lists the same hyperplanes."""
@@ -377,7 +400,7 @@ def predicted_cells(h: SplitHyperplane):
     x_n >= r cell.  Each is a Bruhat interval by the theorem, so the cells
     skip ``BruhatInterval``'s order check.
     """
-    kind = _families(h.n).get(h)
+    kind = _label(h)
     if kind is None:
         return None
     n, (family, j, r) = h.n, kind  # j: the prefix's width, or the coordinate

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import DomainError, _json_text
+from .errors import DomainError, InvariantError, _json_text
 from .lpm import flag_of_interval
 from .perm import BruhatInterval, Perm, bruhat_interval, perm_to_str
 from .polytope import (
@@ -116,8 +116,13 @@ def subdivision_from_hyperplanes(n: int, hs):
         cells.append(SubdivisionCell(signs=signs, interval=interval, lpfm=lpfm_ok))
         covered.update(points)
 
-    if covered != set(permutahedron_vertices(n)):
-        raise RuntimeError("accepted cells do not tile the permutation set")
+    uncovered = sorted(set(permutahedron_vertices(n)) - covered)
+    if uncovered:
+        raise InvariantError(
+            f"accepted cells do not tile the permutation set: {len(uncovered)} uncovered, "
+            f"first {perm_to_str(uncovered[0])}",
+            tuple(uncovered),
+        )
     return Subdivision(n=n, hyperplanes=hyps, cells=tuple(cells))
 
 

@@ -1,16 +1,21 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permsplit import matroid
-from permsplit.cli import UsageError, _emit, main, parse_hyperplane
-from permsplit.errors import _json_text
+from permsplit.cli import UsageError, _emit, build_parser, main, parse_hyperplane
+from permsplit.errors import DomainError, _json_text
 from permsplit.lpm import MAX_CHAIN_N
 from permsplit.perm import MAX_LATTICE_N, bruhat_interval, identity, longest, perm_to_str
 from permsplit.splits import MAX_SCAN_N, SplitHyperplane, hyperplane_to_json, theorem_hyperplanes
+from test_subdivision import drop_first_cell
 
 
 def run(capsys, *argv):
@@ -441,3 +446,97 @@ def test_flag_interval_names_a_matroid_constituent(capsys):
     assert "constituent 1 is a matroid document" in err
     assert run(capsys, "flag", "polytope", FLAG_3_BASES) == run(capsys, "flag", "polytope", FLAG_3)
 
+
+
+def reference_main(argv):
+    """main by the whole argparse tree, the dispatch main's leaf table stands in for."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+_UNIFORM_2_3 = json.dumps({"n": 3, "bases": [[1, 2], [1, 3], [2, 3]]})
+_FLAG_4 = json.dumps({"n": 4, "constituents": [
+    {"n": 4, "U": [2], "L": [4]}, {"n": 4, "U": [1, 2], "L": [2, 4]},
+    {"n": 4, "U": [1, 2, 4], "L": [2, 3, 4]},
+]})
+DISPATCH_CORPUS = [
+    # one valid request per leaf
+    ["bruhat", "leq", "1324", "3412"],
+    ["bruhat", "interval", "1324", "3412"],
+    ["bruhat", "dual", "316542"],
+    ["lpm", "bases", "-n", "8", "1246", "3568"],
+    ["lpm", "good-pairs", "-n", "8", "1247", "3568"],
+    ["lpm", "quotient", "-n", "8", "1247", "3568", "--pair", "4,5"],
+    ["lpm", "chain", "-n", "8", "12", "38", "1247", "3568"],
+    ["matroid", "validate", _UNIFORM_2_3],
+    ["matroid", "circuits", _UNIFORM_2_3],
+    ["matroid", "flats", _UNIFORM_2_3],
+    ["matroid", "quotient-check", '{"n": 3, "bases": [[1], [3]]}', _UNIFORM_2_3],
+    ["matroid", "from-matrix", '[["1","0","1"],["0","1","1"]]'],
+    ["flag", "interval", _FLAG_4],
+    ["flag", "polytope", _FLAG_4],
+    ["flag", "of-interval", "1234", "2431"],
+    ["split", "check", "-n", "4", "x1+x2=5"],
+    ["split", "scan", "-n", "4"],
+    ["split", "theorem", "-n", "3"],
+    ["split", "dual", "-n", "4", "x1+x2=4"],
+    ["poset", "build", "-n", "3"],
+    ["poset", "export", "-n", "3"],
+    # help at each level, and no command
+    ["-h"], ["split", "-h"], ["split", "check", "-h"], [],
+    # unknown names, extras and unknown options
+    ["nonsense"], ["split", "nonsense", "-n", "4"],
+    ["bruhat", "leq", "12", "21", "12"], ["split", "scan", "-n", "4", "--bogus"],
+    ["split", "scan"], ["bruhat", "leq", "12"],
+    # option spellings
+    ["split", "scan", "-n", "4", "--form", "json"],
+    ["split", "scan", "-n", "4", "--format=json"],
+    ["split", "scan", "-n4"],
+    ["split", "check", "-n", "4", "--", "x1+x2=5"],
+    ["split", "scan", "-n", "-4"],
+    # options before the command or the action
+    ["--format", "json", "split", "scan", "-n", "4"],
+    ["split", "--format", "json", "scan", "-n", "4"],
+    # errors the handlers raise
+    ["split", "check", "-n", "4", "x9=2"], ["bruhat", "interval", "3412", "1324"],
+    ["verify", "-n", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_CORPUS, ids=" ".join)
+def test_dispatch_matches_the_tree(capsys, argv):
+    want = reference_main(list(argv)), *capsys.readouterr()
+    assert (main(list(argv)), *capsys.readouterr()) == want
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["bruhat", "leq", "1324", "3412"], 0),
+    (["bruhat", "interval", "3412", "1324"], 1),  # not an interval of the Bruhat order
+    ([], 2),
+])
+def test_module_reads_sys_argv(capsys, argv, code):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-m", "permsplit.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == code and "Traceback" not in done.stderr
+    assert done.stdout == run(capsys, *argv)[1]
+
+
+def test_invariant_error_exit_code(capsys, monkeypatch):
+    drop_first_cell(monkeypatch)  # the other cells do not tile S_3
+    code, out, err = run(capsys, "poset", "build", "-n", "3")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: accepted cells do not tile") and "Traceback" not in err

@@ -1,4 +1,5 @@
 import random
+import time
 from functools import lru_cache
 from itertools import combinations
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permsplit.cli import main
 from permsplit.errors import DomainError
 from permsplit.lpm import flag_of_interval, is_lpm
 from permsplit.perm import BruhatInterval, dual_interval, identity, longest
@@ -15,6 +17,7 @@ from permsplit.splits import (
     SplitHyperplane,
     _canonical_supports,
     _families,
+    _label,
     _open_levels,
     _support_bounds,
     _verdict,
@@ -176,12 +179,40 @@ def test_families_cache_keeps_two_n():
     _families.cache_clear()
     _families(MAX_SCAN_N)
     for n in (5, 6, 5, 6, 5, 6):
-        check_split(theorem_hyperplanes(n)[0])
+        check_split(theorem_hyperplanes(n)[0])  # the check reads no table
     info = _families.cache_info()
     assert (info.maxsize, info.currsize) == (2, 2)
-    assert (info.hits, info.misses) == (10, 3)  # one miss for each of MAX_SCAN_N, 5 and 6
+    assert (info.hits, info.misses) == (4, 3)  # one miss for each of MAX_SCAN_N, 5 and 6
     _families(MAX_SCAN_N)  # its O(n^2) table was evicted
     assert _families.cache_info().misses == 4
+
+
+def test_label_matches_the_family_table():
+    # every singleton, prefix and suffix support: at every level up to n=20,
+    # and beyond it at the three levels at each end of x_S's range, where the
+    # prefix families sit (a singleton keeps every level)
+    for n in range(3, 61):
+        table = _families(n)
+        supports = {frozenset({i}) for i in range(1, n + 1)}
+        for k in range(2, n - 1):
+            supports |= {frozenset(range(1, k + 1)), frozenset(range(n - k + 1, n + 1))}
+        for s in supports:
+            lo, hi = _support_bounds(n, len(s))
+            levels = range(lo, hi + 1)
+            if n > 20 and len(s) > 1:
+                levels = [*levels[:3], *levels[-3:]]
+            for t in levels:
+                h = H(n, s, t)
+                assert _label(h) == table.get(h), h
+
+
+def test_good_check_at_the_scan_bound_builds_no_table(capsys):
+    _families.cache_clear()
+    start = time.perf_counter()
+    code = main(["split", "check", "-n", str(MAX_SCAN_N), "x1=2"])
+    assert time.perf_counter() - start < 0.1
+    assert code == 0 and capsys.readouterr().out.split()[:2] == ["verdict", "good-split"]
+    assert _families.cache_info().misses == 0
 
 
 def test_edges_cut_exactly_the_half_levels():

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from permsplit.errors import DomainError
+from permsplit import subdivision
+from permsplit.errors import DomainError, InvariantError
 from permsplit.lpm import flag_of_interval
 from permsplit.splits import SplitHyperplane, check_split, theorem_hyperplanes
 from permsplit.subdivision import (
@@ -217,3 +218,21 @@ def test_subdivision_json_shapes():
     assert rdoc["rejected"] == "new-vertex"
     # json round trip through the documented schema
     assert json.loads(json.dumps(doc)) == doc
+
+
+def drop_first_cell(monkeypatch):
+    """Make subdivision_from_hyperplanes skip its first sign vector's cell as if it were flat."""
+    calls, affine_rank = [], subdivision.affine_rank
+
+    def rank(points):
+        calls.append(points)
+        return -1 if len(calls) == 1 else affine_rank(points)
+
+    monkeypatch.setattr(subdivision, "affine_rank", rank)
+
+
+def test_untiled_cells_raise_with_the_uncovered_permutations(monkeypatch):
+    drop_first_cell(monkeypatch)  # x1 <= 2: 123 and 132 lie in no other cell
+    with pytest.raises(InvariantError, match="2 uncovered, first 123") as info:
+        subdivision_from_hyperplanes(3, [H(3, {1}, 2)])
+    assert info.value.witness == ((1, 2, 3), (1, 3, 2))
