@@ -5,6 +5,13 @@ invariant (``errors.InvariantError``, a fault of the program, not of the
 input).  ``--format json`` gives machine output everywhere; the default is
 an aligned table, and ``poset`` also writes Graphviz DOT with ``--format dot``.
 
+Each leaf (command, action) has one handler.  A handler computes its answer
+once and returns it in both forms, ``(payload, rows)``: the JSON object and
+the table rows, built from the same rendered texts.  Once ``main`` has
+parsed a request, ``_run`` writes the answer with ``_emit`` in the requested
+format; ``poset``'s rows are its DOT lines, and only ``verify`` writes its
+own report and returns its exit code.
+
 ``build_parser`` makes the argparse tree once per process, with a table of
 its leaf parsers keyed by (command, action).  ``main`` hands the
 arguments after those two words straight to that leaf, one argparse level
@@ -117,254 +124,203 @@ def _emit(payload, rows, fmt):
         print("\n".join(rows))
 
 
+def _perm_pair(texts):
+    return perm_from_str(texts[0]), perm_from_str(texts[1])
+
+
+def _lpm(n, upper, lower):
+    """M[U, L] from the step texts of U and L."""
+    return lpm_mod.lpm_new(n, _subset_from_str(upper), _subset_from_str(lower))
+
+
+def _matroid(arg):
+    return matroid_mod.matroid_from_json(_read_doc(arg))
+
+
 def _interval_json(iv: BruhatInterval):
     return {"lo": perm_to_str(iv.lo), "hi": perm_to_str(iv.hi)}
 
 
-def _report_payload(report):
-    payload = {"verdict": report.verdict}
+def _size_rows(m):
+    return [("rank", str(m.rank)), ("bases", str(len(m.bases)))]
+
+
+def _bruhat_leq(args):
+    res = bruhat_leq(*_perm_pair(args.perms))
+    return {"leq": res}, [("leq", str(res).lower())]
+
+
+def _bruhat_interval(args):
+    u, v = _perm_pair(args.perms)
+    members = interval_texts(u, v)
+    return {"lo": perm_to_str(u), "hi": perm_to_str(v), "members": members}, members
+
+
+def _bruhat_dual(args):
+    if len(args.perms) > 2:
+        raise UsageError("dual takes one permutation or an interval pair")
+    if len(args.perms) == 1:
+        d = perm_to_str(dual_permutation(perm_from_str(args.perms[0])))
+        return {"dual": d}, [("dual", d)]
+    d = _interval_json(dual_interval(BruhatInterval(*_perm_pair(args.perms))))
+    return {"dual": d}, list(d.items())
+
+
+def _lpm_bases(args):
+    m = _lpm(args.n, *args.args)
+    bases = sorted(tuple(sorted(b)) for b in lpm_mod.lpm_bases(m))
+    return (
+        {"lpm": lpm_mod.lpm_to_json(m), "bases": [list(b) for b in bases], "count": len(bases)},
+        [",".join(map(str, b)) for b in bases],
+    )
+
+
+def _lpm_good_pairs(args):
+    pairs = lpm_mod.good_pairs(_lpm(args.n, *args.args))
+    return (
+        {"pairs": [{"u": p.u, "l": p.l, "j": p.j, "i": p.i} for p in pairs]},
+        [f"u={p.u} (j={p.j})  l={p.l} (i={p.i})" for p in pairs],
+    )
+
+
+def _lpm_quotient(args):
+    m = _lpm(args.n, *args.args)
+    try:
+        u, l = (int(t) for t in args.pair.split(","))
+    except ValueError as exc:
+        raise UsageError(f"--pair needs two integers u,l, got {args.pair!r}") from exc
+    q = lpm_mod.elementary_quotient(m, lpm_mod.good_pair(m, u, l))
+    return {"quotient": lpm_mod.lpm_to_json(q)}, [("quotient", str(q))]
+
+
+def _lpm_chain(args):
+    chain = lpm_mod.quotient_chain(_lpm(args.n, *args.args[:2]), _lpm(args.n, *args.args[2:]))
+    if chain is None:
+        return {"chain": None}, [("chain", "none")]
+    steps = [{"pair": {"u": p.u, "l": p.l}, "lpm": lpm_mod.lpm_to_json(m)} for p, m in chain]
+    return (
+        {"chain": steps},
+        [f"remove ({p.u},{p.l}) -> {m}" for p, m in chain] or ["(equal)"],
+    )
+
+
+def _matroid_validate(args):
+    m = _matroid(args.docs[0])
+    payload = {"ok": True, "n": m.n, "rank": m.rank, "bases": len(m.bases)}
+    return payload, [("ok", "true"), *_size_rows(m)]
+
+
+def _matroid_circuits(args):
+    circs = sorted(tuple(sorted(c)) for c in matroid_mod.circuits(_matroid(args.docs[0])))
+    return (
+        {"circuits": [list(c) for c in circs]},
+        [",".join(map(str, c)) for c in circs] or ["(none)"],
+    )
+
+
+def _matroid_flats(args):
+    fl = sorted((len(f), tuple(sorted(f))) for f in matroid_mod.flats(_matroid(args.docs[0])))
+    return (
+        {"flats": [list(f) for _, f in fl]},
+        [",".join(map(str, f)) if f else "{}" for _, f in fl],
+    )
+
+
+def _matroid_quotient_check(args):
+    m, big = _matroid(args.docs[0]), _matroid(args.docs[1])
+    criteria = (1, 2, 3) if args.criterion == "all" else (int(args.criterion),)
+    verdicts = {str(c): matroid_mod.is_quotient(m, big, c) for c in criteria}
+    return (
+        {"quotient": verdicts},
+        [(f"criterion {k}", str(v).lower()) for k, v in verdicts.items()],
+    )
+
+
+def _matroid_from_matrix(args):
+    m = matroid_mod.matroid_from_rational_matrix(_read_doc(args.docs[0]))
+    return {"matroid": matroid_mod.matroid_to_json(m)}, _size_rows(m)
+
+
+def _flag_interval(args):
+    iv = _interval_json(lpm_mod.lpfm_interval(lpm_mod.flag_from_json(_read_doc(args.args[0]))))
+    return {"interval": iv}, list(iv.items())
+
+
+def _flag_polytope(args):
+    pts = [point_to_json(p) for p in sorted(flag_polytope_vertices(
+        lpm_mod.flag_matroids_from_json(_read_doc(args.args[0]))))]
+    return {"vertices": pts}, ["(" + ", ".join(p) + ")" for p in pts]
+
+
+def _flag_of_interval(args):
+    matroids, verdict = lpm_mod.flag_of_interval(BruhatInterval(*_perm_pair(args.args)))
+    return (
+        {"constituents": [matroid_mod.matroid_to_json(m) for m in matroids], "lpfm": verdict},
+        [(f"rank {m.rank}", f"{len(m.bases)} bases") for m in matroids]
+        + [("lpfm", str(verdict).lower())],
+    )
+
+
+def _split_check(args):
+    report = check_split(parse_hyperplane(args.hyperplane, args.n))
+    payload, rows = {"verdict": report.verdict}, [("verdict", report.verdict)]
     if report.cells:
-        payload["cells"] = [_interval_json(c) for c in report.cells]
+        cells = payload["cells"] = [_interval_json(c) for c in report.cells]
         payload["lpfm"] = list(report.lpfm)
-    if report.offending_face is not None:
-        payload["offending_face"] = {
-            "blocks": [list(b) for b in report.offending_face.blocks],
-            "shape": report.offending_face.shape,
-        }
+        rows += [(f"cell({side})", f"[{c['lo']}, {c['hi']}]") for side, c in zip("ew", cells)]
+        rows.append(("lpfm", f"{report.lpfm[0]}, {report.lpfm[1]}".lower()))
+    face = report.offending_face
+    if face is not None:
+        payload["offending_face"] = {"blocks": [list(b) for b in face.blocks], "shape": face.shape}
+        rows.append(("face", str(face.blocks)))
     if report.reason:
         payload["reason"] = report.reason
-    return payload
+        rows.append(("reason", report.reason))
+    return payload, rows
 
 
-def _cmd_bruhat(args) -> int:
-    fmt = args.format
-    if args.action == "leq":
-        u, v = perm_from_str(args.perms[0]), perm_from_str(args.perms[1])
-        res = bruhat_leq(u, v)
-        _emit({"leq": res}, [("leq", str(res).lower())], fmt)
-    elif args.action == "interval":
-        u, v = perm_from_str(args.perms[0]), perm_from_str(args.perms[1])
-        members = interval_texts(u, v)
-        _emit(
-            {"lo": perm_to_str(u), "hi": perm_to_str(v), "members": members},
-            members,
-            fmt,
-        )
-    else:  # dual
-        if len(args.perms) > 2:
-            raise UsageError("dual takes one permutation or an interval pair")
-        if len(args.perms) == 1:
-            d = dual_permutation(perm_from_str(args.perms[0]))
-            _emit({"dual": perm_to_str(d)}, [("dual", perm_to_str(d))], fmt)
-        else:
-            iv = BruhatInterval(perm_from_str(args.perms[0]), perm_from_str(args.perms[1]))
-            d = dual_interval(iv)
-            _emit(
-                {"dual": _interval_json(d)},
-                [("lo", perm_to_str(d.lo)), ("hi", perm_to_str(d.hi))],
-                fmt,
-            )
-    return 0
+def _split_scan(args):
+    hyps = exhaustive_scan(args.n)
+    return (
+        {"hyperplanes": [hyperplane_to_json(h) for h in hyps]},
+        [hyperplane_text(h) for h in hyps],
+    )
 
 
-def _cmd_lpm(args) -> int:
-    fmt = args.format
-    n = args.n
-    if args.action == "bases":
-        m = lpm_mod.lpm_new(n, _subset_from_str(args.args[0]), _subset_from_str(args.args[1]))
-        bases = sorted(tuple(sorted(b)) for b in lpm_mod.lpm_bases(m))
-        _emit(
-            {"lpm": lpm_mod.lpm_to_json(m), "bases": [list(b) for b in bases],
-             "count": len(bases)},
-            [",".join(map(str, b)) for b in bases],
-            fmt,
-        )
-    elif args.action == "good-pairs":
-        m = lpm_mod.lpm_new(n, _subset_from_str(args.args[0]), _subset_from_str(args.args[1]))
-        pairs = lpm_mod.good_pairs(m)
-        _emit(
-            {"pairs": [{"u": p.u, "l": p.l, "j": p.j, "i": p.i} for p in pairs]},
-            [f"u={p.u} (j={p.j})  l={p.l} (i={p.i})" for p in pairs],
-            fmt,
-        )
-    elif args.action == "quotient":
-        m = lpm_mod.lpm_new(n, _subset_from_str(args.args[0]), _subset_from_str(args.args[1]))
-        try:
-            u, l = (int(t) for t in args.pair.split(","))
-        except ValueError as exc:
-            raise UsageError(f"--pair needs two integers u,l, got {args.pair!r}") from exc
-        q = lpm_mod.elementary_quotient(m, lpm_mod.good_pair(m, u, l))
-        _emit({"quotient": lpm_mod.lpm_to_json(q)}, [("quotient", str(q))], fmt)
-    else:  # chain
-        lo = lpm_mod.lpm_new(n, _subset_from_str(args.args[0]), _subset_from_str(args.args[1]))
-        hi = lpm_mod.lpm_new(n, _subset_from_str(args.args[2]), _subset_from_str(args.args[3]))
-        chain = lpm_mod.quotient_chain(lo, hi)
-        if chain is None:
-            _emit({"chain": None}, [("chain", "none")], fmt)
-        else:
-            steps = [
-                {"pair": {"u": p.u, "l": p.l}, "lpm": lpm_mod.lpm_to_json(m)}
-                for p, m in chain
-            ]
-            _emit(
-                {"chain": steps},
-                [f"remove ({p.u},{p.l}) -> {m}" for p, m in chain] or ["(equal)"],
-                fmt,
-            )
-    return 0
+def _split_theorem(args):
+    payload, rows = [], []
+    for h in theorem_hyperplanes(args.n):
+        e, w = cells = [_interval_json(c) for c in predicted_cells(h)]
+        payload.append({"hyperplane": hyperplane_to_json(h), "cells": cells})
+        rows.append(f"{hyperplane_text(h)}  ->  [{e['lo']},{e['hi']}] | [{w['lo']},{w['hi']}]")
+    return {"hyperplanes": payload}, rows
 
 
-def _cmd_matroid(args) -> int:
-    fmt = args.format
-    if args.action == "validate":
-        m = matroid_mod.matroid_from_json(_read_doc(args.docs[0]))
-        _emit(
-            {"ok": True, "n": m.n, "rank": m.rank, "bases": len(m.bases)},
-            [("ok", "true"), ("rank", str(m.rank)), ("bases", str(len(m.bases)))],
-            fmt,
-        )
-    elif args.action == "circuits":
-        m = matroid_mod.matroid_from_json(_read_doc(args.docs[0]))
-        circs = sorted(tuple(sorted(c)) for c in matroid_mod.circuits(m))
-        _emit(
-            {"circuits": [list(c) for c in circs]},
-            [",".join(map(str, c)) for c in circs] or ["(none)"],
-            fmt,
-        )
-    elif args.action == "flats":
-        m = matroid_mod.matroid_from_json(_read_doc(args.docs[0]))
-        fl = sorted((len(f), tuple(sorted(f))) for f in matroid_mod.flats(m))
-        _emit(
-            {"flats": [list(f) for _, f in fl]},
-            [",".join(map(str, f)) if f else "{}" for _, f in fl],
-            fmt,
-        )
-    elif args.action == "quotient-check":
-        m = matroid_mod.matroid_from_json(_read_doc(args.docs[0]))
-        big = matroid_mod.matroid_from_json(_read_doc(args.docs[1]))
-        if args.criterion == "all":
-            verdicts = {
-                str(c): matroid_mod.is_quotient(m, big, c) for c in (1, 2, 3)
-            }
-        else:
-            c = int(args.criterion)
-            verdicts = {str(c): matroid_mod.is_quotient(m, big, c)}
-        _emit(
-            {"quotient": verdicts},
-            [(f"criterion {k}", str(v).lower()) for k, v in verdicts.items()],
-            fmt,
-        )
-    else:  # from-matrix
-        m = matroid_mod.matroid_from_rational_matrix(_read_doc(args.docs[0]))
-        _emit(
-            {"matroid": matroid_mod.matroid_to_json(m)},
-            [("rank", str(m.rank)), ("bases", str(len(m.bases)))],
-            fmt,
-        )
-    return 0
+def _split_dual(args):
+    d = dual_hyperplane(parse_hyperplane(args.hyperplane, args.n))
+    return {"dual": hyperplane_to_json(d)}, [("dual", hyperplane_text(d))]
 
 
-def _cmd_flag(args) -> int:
-    fmt = args.format
-    if args.action == "interval":
-        flag = lpm_mod.flag_from_json(_read_doc(args.args[0]))
-        iv = lpm_mod.lpfm_interval(flag)
-        _emit(
-            {"interval": _interval_json(iv)},
-            [("lo", perm_to_str(iv.lo)), ("hi", perm_to_str(iv.hi))],
-            fmt,
-        )
-    elif args.action == "polytope":
-        constituents = lpm_mod.flag_matroids_from_json(_read_doc(args.args[0]))
-        pts = sorted(flag_polytope_vertices(constituents))
-        _emit(
-            {"vertices": [point_to_json(p) for p in pts]},
-            ["(" + ", ".join(str(x) for x in p) + ")" for p in pts],
-            fmt,
-        )
-    else:  # of-interval
-        iv = BruhatInterval(perm_from_str(args.args[0]), perm_from_str(args.args[1]))
-        matroids, verdict = lpm_mod.flag_of_interval(iv)
-        _emit(
-            {
-                "constituents": [matroid_mod.matroid_to_json(m) for m in matroids],
-                "lpfm": verdict,
-            },
-            [(f"rank {m.rank}", f"{len(m.bases)} bases") for m in matroids]
-            + [("lpfm", str(verdict).lower())],
-            fmt,
-        )
-    return 0
-
-
-def _cmd_split(args) -> int:
-    fmt = args.format
-    n = args.n
-    if args.action == "check":
-        report = check_split(parse_hyperplane(args.hyperplane, n))
-        rows = [("verdict", report.verdict)]
-        if report.cells:
-            rows += [
-                ("cell(e)", f"[{perm_to_str(report.cells[0].lo)}, {perm_to_str(report.cells[0].hi)}]"),
-                ("cell(w)", f"[{perm_to_str(report.cells[1].lo)}, {perm_to_str(report.cells[1].hi)}]"),
-                ("lpfm", f"{report.lpfm[0]}, {report.lpfm[1]}".lower()),
-            ]
-        if report.offending_face is not None:
-            rows.append(("face", str(report.offending_face.blocks)))
-        if report.reason:
-            rows.append(("reason", report.reason))
-        _emit(_report_payload(report), rows, fmt)
-    elif args.action == "scan":
-        hyps = exhaustive_scan(n)
-        _emit(
-            {"hyperplanes": [hyperplane_to_json(h) for h in hyps]},
-            [hyperplane_text(h) for h in hyps],
-            fmt,
-        )
-    elif args.action == "theorem":
-        hyps = theorem_hyperplanes(n)
-        payload = []
-        rows = []
-        for h in hyps:
-            cells = predicted_cells(h)
-            payload.append(
-                {"hyperplane": hyperplane_to_json(h),
-                 "cells": [_interval_json(c) for c in cells]}
-            )
-            rows.append(
-                f"{hyperplane_text(h)}  ->  [{perm_to_str(cells[0].lo)},{perm_to_str(cells[0].hi)}]"
-                f" | [{perm_to_str(cells[1].lo)},{perm_to_str(cells[1].hi)}]"
-            )
-        _emit({"hyperplanes": payload}, rows, fmt)
-    else:  # dual
-        h = parse_hyperplane(args.hyperplane, n)
-        d = dual_hyperplane(h)
-        _emit(
-            {"dual": hyperplane_to_json(d)},
-            [("dual", hyperplane_text(d))],
-            fmt,
-        )
-    return 0
-
-
-def _cmd_poset(args) -> int:
-    fmt = args.format
+def _poset_export(args):
     poset = subdivision_mod.build_poset(args.n)
-    if args.action == "export" or fmt in ("dot", "json"):
-        out_fmt = fmt if fmt in ("dot", "json") else "dot"
-        sys.stdout.write(subdivision_mod.export_poset(poset, out_fmt))
-        return 0
-    rows = [
+    dot = subdivision_mod.export_poset(poset, "dot")
+    return subdivision_mod.poset_to_json(poset), dot.splitlines()
+
+
+def _poset_build(args):
+    """The poset's sizes as a table, else the export in the requested format."""
+    if args.format != "table":
+        return _poset_export(args)
+    poset = subdivision_mod.build_poset(args.n)
+    return None, [
         ("elements", str(len(poset.elements))),
         ("minimal", str(len(poset.minimal_indices()))),
         ("maximal", str(len(poset.maximal_indices()))),
         ("covers", str(len(poset.covers))),
     ]
-    _emit({}, rows, "table")
-    return 0
 
 
-def _cmd_verify(args) -> int:
+def _verify(args) -> int:
     from .verify import run_checks
 
     results = run_checks(args.n, seed=args.seed)
@@ -391,70 +347,71 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[tuple[str, str], argparse.
     )
     groups = parser.add_subparsers(dest="command", required=True)
 
-    def action_parser(group, command, name, func):
-        p = leaves[command, name] = group.add_parser(name)
-        p.set_defaults(func=func, action=name)
-        formats = ("table", "json", "dot") if func is _cmd_poset else ("table", "json")
-        p.add_argument("--format", choices=formats, default="table")
-        return p
+    def actions(command, help, *handlers):
+        """Add the command's leaf parsers, one per (action, handler), each with --format."""
+        group = groups.add_parser(command, help=help).add_subparsers(dest="action", required=True)
+        formats = ("table", "json", "dot") if command == "poset" else ("table", "json")
+        for name, func in handlers:
+            p = leaves[command, name] = group.add_parser(name)
+            p.set_defaults(func=func, action=name)
+            p.add_argument("--format", choices=formats, default="table")
+            yield name, p
 
-    bruhat = groups.add_parser("bruhat", help="Bruhat order operations").add_subparsers(
-        dest="action", required=True
-    )
-    for name in ("leq", "interval", "dual"):
-        p = action_parser(bruhat, "bruhat", name, _cmd_bruhat)
+    for name, p in actions(
+        "bruhat", "Bruhat order operations",
+        ("leq", _bruhat_leq), ("interval", _bruhat_interval), ("dual", _bruhat_dual),
+    ):
         count = "+" if name == "dual" else 2
         p.add_argument("perms", nargs=count, help="e.g. 3142 or 10,3,1,2,...")
 
-    lpm = groups.add_parser("lpm", help="lattice path matroid operations").add_subparsers(
-        dest="action", required=True
-    )
-    for name, count in (("bases", 2), ("good-pairs", 2), ("quotient", 2), ("chain", 4)):
-        p = action_parser(lpm, "lpm", name, _cmd_lpm)
+    for name, p in actions(
+        "lpm", "lattice path matroid operations",
+        ("bases", _lpm_bases), ("good-pairs", _lpm_good_pairs),
+        ("quotient", _lpm_quotient), ("chain", _lpm_chain),
+    ):
         p.add_argument("-n", type=int, required=True)
+        count = 4 if name == "chain" else 2
         p.add_argument("args", nargs=count, help="step sets, e.g. 1246 3568")
         if name == "quotient":
             p.add_argument("--pair", required=True, help="good pair values u,l")
 
-    matroid = groups.add_parser(
-        "matroid", help="matroid operations on JSON documents"
-    ).add_subparsers(dest="action", required=True)
-    for name, count in (
-        ("validate", 1), ("circuits", 1), ("flats", 1),
-        ("quotient-check", 2), ("from-matrix", 1),
+    for name, p in actions(
+        "matroid", "matroid operations on JSON documents",
+        ("validate", _matroid_validate), ("circuits", _matroid_circuits),
+        ("flats", _matroid_flats), ("quotient-check", _matroid_quotient_check),
+        ("from-matrix", _matroid_from_matrix),
     ):
-        p = action_parser(matroid, "matroid", name, _cmd_matroid)
-        p.add_argument("docs", nargs=count, help="JSON text, @file, or - for stdin")
+        p.add_argument("docs", nargs=2 if name == "quotient-check" else 1,
+                       help="JSON text, @file, or - for stdin")
         if name == "quotient-check":
             p.add_argument("--criterion", choices=("1", "2", "3", "all"), default="all")
 
-    flag = groups.add_parser("flag", help="flag matroid operations").add_subparsers(
-        dest="action", required=True
-    )
-    for name, count in (("interval", 1), ("polytope", 1), ("of-interval", 2)):
-        p = action_parser(flag, "flag", name, _cmd_flag)
-        p.add_argument("args", nargs=count)
+    for name, p in actions(
+        "flag", "flag matroid operations",
+        ("interval", _flag_interval), ("polytope", _flag_polytope),
+        ("of-interval", _flag_of_interval),
+    ):
+        p.add_argument("args", nargs=2 if name == "of-interval" else 1)
 
-    split = groups.add_parser("split", help="hyperplane split checks").add_subparsers(
-        dest="action", required=True
-    )
-    for name in ("check", "scan", "theorem", "dual"):
-        p = action_parser(split, "split", name, _cmd_split)
+    for name, p in actions(
+        "split", "hyperplane split checks",
+        ("check", _split_check), ("scan", _split_scan),
+        ("theorem", _split_theorem), ("dual", _split_dual),
+    ):
         p.add_argument("-n", type=int, required=True)
         if name in ("check", "dual"):
             p.add_argument("hyperplane", help='e.g. "x1+x2=5" or "x_{1,3}=7"')
 
-    poset = groups.add_parser(
-        "poset", help="refinement poset of subdivisions"
-    ).add_subparsers(dest="action", required=True)
-    for name in ("build", "export"):
-        p = action_parser(poset, "poset", name, _cmd_poset)
+    for name, p in actions(
+        "poset", "refinement poset of subdivisions",
+        ("build", _poset_build), ("export", _poset_export),
+    ):
         p.add_argument("-n", type=int, required=True)
 
     p = groups.add_parser("verify", help="run the verification checks for one n")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_verify)
 
     return parser, leaves
 
@@ -471,8 +428,13 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    return _run(args)
+
+
+def _run(args) -> int:
+    """Write the answer of a parsed request in its format; verify writes its own."""
     try:
-        return args.func(args)
+        answer = args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -482,6 +444,10 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    if args.command == "verify":
+        return answer
+    _emit(*answer, args.format)
+    return 0
 
 
 if __name__ == "__main__":

@@ -299,7 +299,10 @@ def _is_lpm_family(family: list[tuple[int, ...]]) -> bool:
 
 @lru_cache(maxsize=None)
 def _gale_count(upper: tuple[int, ...], lower: tuple[int, ...]) -> int:
-    """Number of increasing tuples b with upper <= b <= lower coordinatewise."""
+    """Number of increasing tuples b with upper <= b <= lower coordinatewise.
+
+    ``verify.lattice_path_count`` is its oracle: it counts the same tuples
+    route by route."""
     ends = [1] * (lower[-1] + 1)  # ends[b]: the tuples so far that end at or below b
     for lo, hi in zip(upper, lower):
         ends = list(accumulate(ends[b - 1] if lo <= b <= hi else 0 for b in range(len(ends))))

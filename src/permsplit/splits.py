@@ -115,7 +115,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -125,8 +124,9 @@ from .polytope import Face2D, _block_extremes
 
 # largest n that exhaustive_scan, theorem_hyperplanes and check_split accept: `split
 # scan -n 1000 --format json` took 1.1-1.7 s and 110 MB on a 2-core machine, growing as
-# n^2 (4n hyperplanes hold their supports), `split theorem -n 1000` 8.7 s and 256 MB,
-# and the slowest of 40 bad `split check -n 1000` 1.7 s
+# n^2 (4n hyperplanes hold their supports), `split theorem -n 1000` 3.5-6.5 s and 256 MB
+# (5.2-6.8 s and 396 MB with --format json), and the slowest of 40 bad `split check
+# -n 1000` 1.7 s
 MAX_SCAN_N = 1000
 
 
@@ -198,9 +198,9 @@ class SplitReport:
     reason: str | None = None
 
 
-@lru_cache(maxsize=2)  # a stream alternating two n keeps its hits; a large n's O(n^2) table leaves
 def _families(n: int) -> dict[SplitHyperplane, tuple[str, int, int]]:
-    """Every good-split hyperplane, labelled (family, arg, level).
+    """Every good-split hyperplane, labelled (family, arg, level): the list of
+    :func:`theorem_hyperplanes`, and the reference labels of :func:`_label`.
 
     Coordinates go in first, so the prefix families at j = 1, which coincide
     with coordinate instances, keep the label "coordinate".

@@ -60,9 +60,8 @@ from .polytope import (
 from .splits import (
     SplitHyperplane,
     _canonical_supports,
-    _families,
+    _label,
     _support_bounds,
-    _verdict,
     check_split,
     dual_hyperplane,
     exhaustive_scan,
@@ -107,7 +106,8 @@ def lattice_path_count(upper, lower, n: int) -> int:
     """Number of sorted k-subsets between the step bounds, by route counting.
 
     Stage i admits values in [u_i, l_i]; strict increase is enforced by only
-    extending from strictly smaller previous values.
+    extending from strictly smaller previous values.  The oracle of
+    ``lpm._gale_count``, which counts the same Gale interval by prefix sums.
     """
     u, l = sorted(upper), sorted(lower)
     if not u:
@@ -393,8 +393,8 @@ def check_duality(n: int) -> CheckResult:
             n=n, support=frozenset({1}), level=n - r + 1
         ):
             problems.append(f"x1={r}: dual level is not {n - r + 1}")
-    lows = {h for h in good if _families(n)[h][0] == "prefix-low"}
-    highs = {h for h in good if _families(n)[h][0] == "prefix-high"}
+    lows = {h for h in good if _label(h)[0] == "prefix-low"}
+    highs = {h for h in good if _label(h)[0] == "prefix-high"}
     if {dual_hyperplane(h) for h in lows} != highs:
         problems.append("duals of low prefix sums are not the high prefix sums")
     # fixed six-element examples

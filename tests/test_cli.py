@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permsplit import matroid
-from permsplit.cli import UsageError, _emit, build_parser, main, parse_hyperplane
-from permsplit.errors import DomainError, _json_text
+from permsplit.cli import UsageError, _emit, _run, build_parser, main, parse_hyperplane
+from permsplit.errors import _json_text
 from permsplit.lpm import MAX_CHAIN_N
 from permsplit.perm import MAX_LATTICE_N, bruhat_interval, identity, longest, perm_to_str
 from permsplit.splits import MAX_SCAN_N, SplitHyperplane, hyperplane_to_json, theorem_hyperplanes
@@ -454,14 +454,7 @@ def reference_main(argv):
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return _run(args)
 
 
 _UNIFORM_2_3 = json.dumps({"n": 3, "bases": [[1, 2], [1, 3], [2, 3]]})
@@ -517,6 +510,24 @@ DISPATCH_CORPUS = [
 def test_dispatch_matches_the_tree(capsys, argv):
     want = reference_main(list(argv)), *capsys.readouterr()
     assert (main(list(argv)), *capsys.readouterr()) == want
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def test_every_leaf_answer_is_unchanged(capsys, monkeypatch):
+    # cli_answers.json holds the exact stdout of the 21 leaf requests at the
+    # head of DISPATCH_CORPUS in both forms; a valid leaf request parses with
+    # its leaf parser alone, never the whole tree
+    def whole_tree(*args, **kwargs):
+        raise AssertionError("a valid leaf request reached the whole argparse tree")
+
+    monkeypatch.setattr(build_parser(), "parse_args", whole_tree)
+    answers = json.loads((FIXTURES / "cli_answers.json").read_text(encoding="utf-8"))
+    assert [a["argv"] for a in answers] == DISPATCH_CORPUS[:21]
+    for a in answers:
+        for fmt in ("table", "json"):
+            assert run(capsys, *a["argv"], "--format", fmt) == (0, a[fmt], ""), (a["argv"], fmt)
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

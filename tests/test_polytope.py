@@ -5,7 +5,7 @@ from itertools import chain, combinations, permutations, product
 import pytest
 
 from permsplit.errors import DomainError
-from permsplit.lpm import lpm_bases, lpm_new, to_set_matroid, uniform_lpm
+from permsplit.lpm import _gale_count, lpm_bases, lpm_new, to_set_matroid, uniform_lpm
 from permsplit.matroid import _eliminate, _matrix_rank_int, matroid_from_bases
 from permsplit.perm import BruhatInterval, bruhat_interval, bruhat_leq, identity, longest
 from permsplit.polytope import (
@@ -375,3 +375,4 @@ def test_lpm_basis_count_matches_dp():
                     if all(a <= b for a, b in zip(u, l)):
                         m = lpm_new(n, u, l)
                         assert len(lpm_bases(m)) == lattice_path_count(u, l, n)
+                        assert _gale_count(u, l) == lattice_path_count(u, l, n)

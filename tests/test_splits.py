@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permsplit import splits
 from permsplit.cli import main
 from permsplit.errors import DomainError
 from permsplit.lpm import flag_of_interval, is_lpm
@@ -175,18 +176,6 @@ def test_exhaustive_scan():
         assert exhaustive_scan(n) == theorem_hyperplanes(n), n
 
 
-def test_families_cache_keeps_two_n():
-    _families.cache_clear()
-    _families(MAX_SCAN_N)
-    for n in (5, 6, 5, 6, 5, 6):
-        check_split(theorem_hyperplanes(n)[0])  # the check reads no table
-    info = _families.cache_info()
-    assert (info.maxsize, info.currsize) == (2, 2)
-    assert (info.hits, info.misses) == (4, 3)  # one miss for each of MAX_SCAN_N, 5 and 6
-    _families(MAX_SCAN_N)  # its O(n^2) table was evicted
-    assert _families.cache_info().misses == 4
-
-
 def test_label_matches_the_family_table():
     # every singleton, prefix and suffix support: at every level up to n=20,
     # and beyond it at the three levels at each end of x_S's range, where the
@@ -206,13 +195,14 @@ def test_label_matches_the_family_table():
                 assert _label(h) == table.get(h), h
 
 
-def test_good_check_at_the_scan_bound_builds_no_table(capsys):
-    _families.cache_clear()
+def test_good_check_at_the_scan_bound_builds_no_table(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(splits, "_families", lambda n: calls.append(n) or _families(n))
     start = time.perf_counter()
     code = main(["split", "check", "-n", str(MAX_SCAN_N), "x1=2"])
     assert time.perf_counter() - start < 0.1
     assert code == 0 and capsys.readouterr().out.split()[:2] == ["verdict", "good-split"]
-    assert _families.cache_info().misses == 0
+    assert calls == []
 
 
 def test_edges_cut_exactly_the_half_levels():
