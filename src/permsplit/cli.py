@@ -14,8 +14,8 @@ own report and returns its exit code.
 
 ``build_parser`` makes the argparse tree once per process, with a table of
 its leaf parsers keyed by (command, action).  ``main`` hands the
-arguments after those two words straight to that leaf, one argparse level
-instead of three; it falls back to the whole tree when no leaf matches (help,
+arguments after those two words straight to that leaf parser alone; it
+falls back to the whole tree when no leaf matches (help,
 no command, an unknown command or action, ``verify``, options before the
 command) or the leaf leaves extras, so every help text and error, and the
 ``unrecognized arguments`` message of prog ``permsplit``, are argparse's own.

@@ -195,7 +195,9 @@ def is_lpm(m: SetMatroid):
     """Recognize an LPM presentation under the identity labeling.
 
     Returns (U, L) when the basis set equals the Gale interval spanned by its
-    coordinatewise min and max, else None.
+    coordinatewise min and max, else None.  The oracle of :func:`_is_lpm_family`,
+    which decides the same by counting lattice paths; ``verify``'s
+    ``flag-oracle`` and the tests compare the two.
     """
     blist = [tuple(sorted(b)) for b in m.bases]
     if not blist or m.rank == 0:
@@ -292,7 +294,8 @@ def _flag_families(iv: BruhatInterval) -> list[list[tuple[int, ...]]]:
 
 
 def _is_lpm_family(family: list[tuple[int, ...]]) -> bool:
-    """is_lpm on a nonempty family of sorted k-tuples, by counting paths."""
+    """is_lpm on a nonempty family of sorted k-tuples, by counting paths;
+    :func:`is_lpm`, which lists the Gale interval, is its oracle."""
     rows = list(zip(*family))
     return len(family) == _gale_count(tuple(map(min, rows)), tuple(map(max, rows)))
 

@@ -227,7 +227,9 @@ def matroid_from_rational_matrix(rows) -> SetMatroid:
     """Column matroid of an exact rational matrix.
 
     Bases are the r-subsets of columns of rank r, where r = rank of the whole
-    matrix; entries may be Fractions, ints, or "p/q" strings.
+    matrix; entries may be Fractions, ints, or "p/q" strings.  There is no
+    exchange test: the maximal independent column sets of a matrix satisfy
+    the exchange axiom (Steinitz), so a column matroid is a matroid.
     """
     mat = []
     for row in matrix_from_json(rows):  # clearing denominators keeps the matroid
@@ -238,9 +240,9 @@ def matroid_from_rational_matrix(rows) -> SetMatroid:
         raise DomainError(f"matroid_from_rational_matrix needs at most {MAX_LATTICE_N} columns,"
                           f" got {ncols}")
     r = _matrix_rank_int(mat)
-    bases = [cols for cols in combinations(range(1, ncols + 1), r)
-             if _matrix_rank_int([[row[c - 1] for c in cols] for row in mat]) == r]
-    return matroid_from_bases(ncols, bases)
+    bases = frozenset(frozenset(cols) for cols in combinations(range(1, ncols + 1), r)
+                      if _matrix_rank_int([[row[c - 1] for c in cols] for row in mat]) == r)
+    return SetMatroid(ncols, bases, r)
 
 
 # --- JSON forms -------------------------------------------------------------

@@ -217,8 +217,9 @@ def _proved_interval(lo: Perm, hi: Perm) -> BruhatInterval:
 
 
 def dual_interval(iv: BruhatInterval) -> BruhatInterval:
-    """[lo, hi] -> [hi*, lo*]; an involution."""
-    return BruhatInterval(dual_permutation(iv.hi), dual_permutation(iv.lo))
+    """[lo, hi] -> [hi*, lo*]; an involution, and hi* <= lo* as duality
+    reverses the order."""
+    return _proved_interval(dual_permutation(iv.hi), dual_permutation(iv.lo))
 
 
 def _validate_chain(chain: Chain) -> tuple[frozenset[int], ...]:

@@ -14,12 +14,15 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, gcd, lcm
+from operator import eq, ge, le, mul
 
 from .errors import DomainError
 from .matroid import _eliminate, _matrix_rank_int, is_quotient
-from .perm import BruhatInterval, Perm, bruhat_interval, bruhat_leq, perm
+from .perm import BruhatInterval, Perm, _proved_interval, bruhat_interval, bruhat_leq, perm
 
 Point = tuple  # n exact rationals (ints or Fractions)
+
+_SENSES = {">=": ge, "<=": le, "=": eq}
 
 
 @dataclass(frozen=True)
@@ -56,8 +59,7 @@ class Face2D:
 
 @dataclass(frozen=True)
 class VertexEnumeration:
-    points: tuple[Point, ...]
-    diagnostic: str | None = None
+    points: tuple[Point, ...]  # empty when the system has no vertex
 
     def __iter__(self):
         return iter(self.points)
@@ -150,7 +152,12 @@ def faces_2d(n: int) -> tuple[Face2D, ...]:
 
 
 def flag_polytope_vertices(constituents) -> frozenset[Point]:
-    """Indicator-vector sums over chains of bases, one basis per constituent."""
+    """Indicator-vector sums over chains of bases, one basis per constituent.
+
+    Chains grow one constituent at a time, as ``lpm.lpm_bases`` grows paths;
+    a partial chain is kept as (its last basis, its sum so far), which is all
+    that its extensions read.
+    """
     parts = list(constituents)
     if not parts:
         raise DomainError("empty flag")
@@ -158,23 +165,11 @@ def flag_polytope_vertices(constituents) -> frozenset[Point]:
     for a, b in zip(parts, parts[1:]):
         if not is_quotient(a, b):
             raise DomainError("consecutive constituents are not quotients")
-    base_lists = [sorted(m.bases, key=lambda s: tuple(sorted(s))) for m in parts]
-    points = set()
-
-    def rec(level, prev, acc):
-        if level == len(parts):
-            points.add(tuple(acc))
-            return
-        for b in base_lists[level]:
-            if prev is not None and not prev <= b:
-                continue
-            nxt = list(acc)
-            for i in b:
-                nxt[i - 1] += 1
-            rec(level + 1, b, nxt)
-
-    rec(0, None, [0] * n)
-    return frozenset(points)
+    chains = {(frozenset(), (0,) * n)}
+    for m in parts:
+        chains = {(b, tuple(x + (i in b) for i, x in enumerate(acc, 1)))
+                  for prev, acc in chains for b in m.bases if prev <= b}
+    return frozenset(acc for _, acc in chains)
 
 
 def is_bip(points) -> BruhatInterval | None:
@@ -191,7 +186,7 @@ def is_bip(points) -> BruhatInterval | None:
         return None
     lo, hi = perm(min(pts)), perm(max(pts))
     if bruhat_leq(lo, hi) and pts == set(bruhat_interval(lo, hi)):
-        return BruhatInterval(lo, hi)  # so every point is a permutation
+        return _proved_interval(lo, hi)  # so every point is a permutation
     if len({len(perm(p)) for p in pts}) > 1:  # perm raises on a non-permutation
         raise DomainError("points of different sizes")
     return None
@@ -238,71 +233,45 @@ def enumerate_vertices(constraints, n: int) -> VertexEnumeration:
     deduplicated and sorted.
     """
     cons = list(constraints)
-    eq_rows, eq_rhs = [], []
-    ineqs = []
-    for c in cons:
-        den = c.level.denominator
-        row = [den if i in c.support else 0 for i in range(1, n + 1)]
-        rhs = c.level.numerator
-        if c.sense == "=":
-            eq_rows.append(row)
-            eq_rhs.append(rhs)
-        else:
-            ineqs.append((c, row, rhs))
-
-    # (support, level) -> int comparisons for the feasibility filter
-    checks = []
-    for c in cons:
-        idx = tuple(i - 1 for i in sorted(c.support))
-        checks.append((idx, c.sense, c.level.numerator, c.level.denominator))
-
+    # one integer form per constraint, den * x_S against num for the level
+    # num / den: its row and right-hand side serve the solves and the test
+    forms = [
+        (_SENSES[c.sense], [c.level.denominator if i in c.support else 0 for i in range(1, n + 1)],
+         c.level.numerator)
+        for c in cons
+    ]
     # keep an independent subset of the equality rows so redundant copies of
     # the ambient equality cannot make every candidate system non-square
-    kept_rows, kept_rhs = [], []
-    for row, rhs in zip(eq_rows, eq_rhs):
-        if _matrix_rank_int(kept_rows + [row]) > len(kept_rows):
-            kept_rows.append(row)
-            kept_rhs.append(rhs)
-    eq_rows, eq_rhs = kept_rows, kept_rhs
+    eq_rows, eq_rhs, ineqs = [], [], []
+    for c, (_, row, rhs) in zip(cons, forms):
+        if c.sense != "=":
+            ineqs.append((c.support, row, rhs))
+        elif _matrix_rank_int(eq_rows + [row]) > len(eq_rows):
+            eq_rows.append(row)
+            eq_rhs.append(rhs)
 
     full = frozenset(range(1, n + 1))
     ambient = any(c.sense == "=" and c.support == full for c in cons)
     k = n - len(eq_rows)
     found = set()
-    for chosen in combinations(range(len(ineqs)), k):
-        supports = {ineqs[t][0].support for t in chosen}
+    for chosen in combinations(ineqs, k):
+        supports = {s for s, _, _ in chosen}
         if len(supports) < k:
             continue  # same support twice can never be simultaneously tight
         if ambient and any(full - s in supports for s in supports):
             continue  # the ambient row is a combination of the rows of S and [n] - S
-        rows = eq_rows + [ineqs[t][1] for t in chosen]
-        rhs = eq_rhs + [ineqs[t][2] for t in chosen]
-        solved = _solve_square(rows, rhs, n)
+        solved = _solve_square(eq_rows + [row for _, row, _ in chosen],
+                               eq_rhs + [rhs for _, _, rhs in chosen], n)
         if solved is None:
             continue
-        nums, den = solved
-        ok = True
-        for idx, sense, num, level_den in checks:
-            lhs = sum(nums[i] for i in idx) * level_den
-            rhs_v = num * den
-            if sense == ">=":
-                ok = lhs >= rhs_v
-            elif sense == "<=":
-                ok = lhs <= rhs_v
-            else:
-                ok = lhs == rhs_v
-            if not ok:
-                break
-        if ok:
+        nums, den = solved  # den > 0, so the comparisons keep their sense
+        if all(holds(sum(map(mul, row, nums)), rhs * den) for holds, row, rhs in forms):
             g = gcd(den, *nums)
             found.add((tuple(x // g for x in nums), den // g))
-    points = tuple(sorted(
+    return VertexEnumeration(points=tuple(sorted(
         tuple(x // den if x % den == 0 else Fraction(x, den) for x in nums)
         for nums, den in found
-    ))
-    if not points:
-        return VertexEnumeration(points=(), diagnostic="empty-or-unbounded")
-    return VertexEnumeration(points=points)
+    )))
 
 
 def is_permutation_point(p: Point) -> bool:

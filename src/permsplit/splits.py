@@ -222,31 +222,33 @@ def _families(n: int) -> dict[SplitHyperplane, tuple[str, int, int]]:
 
 
 def _label(h: SplitHyperplane) -> tuple[str, int, int] | None:
-    """``_families(h.n).get(h)``, read from the support and level alone.
+    """``_families(h.n).get(h)``: None unless ``_verdict`` finds a good split,
+    else its family, named from the support and level alone.
 
-    A normalized support keeps a prefix {1..j} when j <= n - j and turns a
+    A good split is a coordinate {1} or {n}, or else a prefix or a suffix at
+    lo + 1 or hi - 1 of its range (squares forbid the levels between).  A
+    normalized support keeps a prefix {1..j} when j <= n - j and turns a
     longer one into the suffix {j+1..n} at the complementary level, which
-    swaps the prefix's lo + 1 and hi - 1; {1} and {n} are coordinates.
+    swaps the prefix's lo + 1 and hi - 1.
     """
     n, s, t = h.n, h.support, h.level
+    if _verdict(n, s, t) != "good-split":
+        return None
     k = len(s)
-    lo, hi = _support_bounds(n, k)
-    if not lo < t < hi:
-        return None
-    if k == 1 and (1 in s or n in s):
+    if k == 1:
         return "coordinate", min(s), t
-    if t not in (lo + 1, hi - 1):
-        return None
+    lo, hi = _support_bounds(n, k)
     if max(s) == k:  # the prefix {1..k}
         return "prefix-low" if t == lo + 1 else "prefix-high", k, t
-    if min(s) == n - k + 1:  # the suffix {n-k+1..n}: the prefix {1..n-k} at total - t
-        return "prefix-low" if t == hi - 1 else "prefix-high", n - k, n * (n + 1) // 2 - t
-    return None
+    # the suffix {n-k+1..n}: the prefix {1..n-k} at total - t
+    return "prefix-low" if t == hi - 1 else "prefix-high", n - k, n * (n + 1) // 2 - t
 
 
 def theorem_hyperplanes(n: int) -> tuple[SplitHyperplane, ...]:
-    """The full list of good-split hyperplanes, deduplicated, with the bound of
-    :func:`exhaustive_scan`, which lists the same hyperplanes."""
+    """The full list of good-split hyperplanes, deduplicated: the paper's three
+    families, with the bound of :func:`exhaustive_scan`.  The two are each
+    other's reference: the scan reads the same hyperplanes off the
+    classification, and ``verify`` and the tests compare them."""
     if not 3 <= n <= MAX_SCAN_N:
         raise DomainError(f"theorem_hyperplanes needs 3 <= n <= {MAX_SCAN_N}, got n={n}")
     return tuple(sorted(_families(n), key=SplitHyperplane.sort_key))
@@ -451,6 +453,7 @@ def exhaustive_scan(n: int) -> tuple[SplitHyperplane, ...]:
     the n - 1 prefixes and builds no faces and no cells.  Integer levels
     suffice: the middle cell of a split contains permutation vertices, which
     pins x_S to an integer, and every half-integer level is cut by an edge.
+    :func:`theorem_hyperplanes`, the paper's list, is its reference.
     """
     if not 3 <= n <= MAX_SCAN_N:
         raise DomainError(f"exhaustive_scan needs 3 <= n <= {MAX_SCAN_N}, got n={n}")

@@ -121,10 +121,10 @@ def lattice_path_count(upper, lower, n: int) -> int:
     return sum(prev.values())
 
 
-def all_lpms(n: int, min_rank: int = 0):
+def all_lpms(n: int):
     """Every LPM on [n]: all Gale-comparable (U, L) pairs, every rank."""
     out = []
-    for k in range(min_rank, n + 1):
+    for k in range(n + 1):
         subs = list(combinations(range(1, n + 1), k))
         for u in subs:
             for l in subs:
@@ -150,7 +150,8 @@ def all_lpfm_flags(n: int) -> list[LPFMFlag]:
 
 
 def schubert_flags(n: int) -> list[LPFMFlag]:
-    """Every full flag of Schubert LPMs, one per chain of U-step sets."""
+    """Every full flag of Schubert LPMs, one per chain of U-step sets.
+    :func:`all_lpfm_flags` contains them all."""
     flags = []
     for order in permutations(range(1, n + 1)):
         steps = []
@@ -286,10 +287,7 @@ def check_flag_positroid(n: int) -> CheckResult:
 def check_interval_polytope_match(n: int, seed: int = 0) -> CheckResult:
     """Flag polytope vertices must equal the point set of the flag interval."""
     if n <= 4:
-        flags = {f: True for f in all_lpfm_flags(n)}
-        for f in schubert_flags(n):
-            flags.setdefault(f, True)
-        flags = list(flags)
+        flags = all_lpfm_flags(n)
         mode = f"exhaustive ({len(flags)} flags)"
     else:
         flags = sample_lpfm_flags(n, _SAMPLES, random.Random(seed))
@@ -514,7 +512,7 @@ def check_good_pairs(n: int) -> CheckResult:
     """(u, l) is good exactly when removing it yields a quotient."""
     bad = 0
     checked = 0
-    for m in all_lpms(n, min_rank=1):
+    for m in all_lpms(n):
         big = to_set_matroid(m)
         for j in range(1, m.k + 1):
             for i in range(1, m.k + 1):
@@ -580,8 +578,8 @@ def check_exact_kernel(n: int, seed: int = 0) -> CheckResult:
 
 def run_checks(n: int, seed: int = 0) -> list[CheckResult]:
     """Every check applicable at ground-set size n."""
-    if n > MAX_VERIFY_N:
-        raise DomainError(f"verify needs n <= {MAX_VERIFY_N}, got n={n}")
+    if not 3 <= n <= MAX_VERIFY_N:
+        raise DomainError(f"verify needs 3 <= n <= {MAX_VERIFY_N}, got n={n}")
     results = [
         check_bruhat_oracle(n),
         check_interval_oracle(n, seed=seed),

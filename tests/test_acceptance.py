@@ -222,7 +222,7 @@ def test_criterion_7_quotient_criteria_agree():
 
 def test_criterion_8_good_pair_soundness_completeness():
     for n in range(1, 7):
-        for m in all_lpms(n, min_rank=1):
+        for m in all_lpms(n):
             big = to_set_matroid(m)
             for j in range(1, m.k + 1):
                 for i in range(1, m.k + 1):

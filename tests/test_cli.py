@@ -249,6 +249,11 @@ def test_size_limits_exit_code(capsys):
     assert code == 1 and not out and "n <= 4" in err
     code, out, err = run(capsys, "verify", "-n", "6")
     assert code == 1 and not out and "n <= 5" in err
+    # verify and poset refuse n below 3 themselves, before any inner function
+    for argv, text in ((("verify", "-n", "2"), "verify needs 3 <= n <= 5, got n=2"),
+                       (("verify", "-n", "0"), "verify needs 3 <= n <= 5, got n=0"),
+                       (("poset", "build", "-n", "2"), "build_poset needs 3 <= n <= 4, got n=2")):
+        assert run(capsys, *argv) == (1, "", f"error: {text}\n")
 
 
 def test_flag_of_interval_comma_form(capsys):

@@ -144,6 +144,18 @@ def test_from_matrix():
     assert matroid_from_bases(full.n, full.bases) == full
 
 
+def test_from_matrix_is_a_matroid_by_theorem():
+    # no exchange test runs on a column matroid; the full one agrees
+    rng = random.Random(24)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        rows = [[rng.choice((-2, -1, 0, 0, 1, 1, 2, 3)) for _ in range(n)]
+                for _ in range(rng.randint(1, 4))]
+        m = matroid_from_rational_matrix(rows)
+        assert exchange_violation(m.bases) is None, rows
+        assert m == matroid_from_bases(m.n, m.bases), rows
+
+
 def test_from_matrix_accepts_strings_and_rank_deficiency():
     m = matroid_from_rational_matrix([["1/2", "0"], ["1", "0"]])
     assert m.rank == 1 and m.bases == frozenset([frozenset({1})])
