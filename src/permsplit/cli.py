@@ -79,8 +79,8 @@ def parse_hyperplane(text: str, n: int) -> SplitHyperplane:
         raise UsageError(f"malformed hyperplane {text!r}")
     if len(set(support)) != len(support):
         raise UsageError(f"repeated index in {text!r}")
-    if any(not 1 <= i <= n for i in support):
-        bad = next(i for i in support if not 1 <= i <= n)
+    bad = next((i for i in support if not 1 <= i <= n), None)
+    if bad is not None:
         raise UsageError(f"index {bad} out of range 1..{n} in {text!r}")
     try:
         return SplitHyperplane(n=n, support=frozenset(support), level=level)

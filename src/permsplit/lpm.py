@@ -59,6 +59,12 @@ from .perm import MAX_LATTICE_N, BruhatInterval, _prefix_lattice, bruhat_permuta
 # --format json` took 0.5 s and 67 MB on a 2-core machine; both grow as n^2
 MAX_CHAIN_N = 2000
 
+# most bases that lpm_bases lists.  Memory and time grow with the count: `lpm bases
+# -n 22 1,...,11 12,...,22 --format json` listed 705,432 bases in 17.3 s at 1,061 MB
+# on a 2-core machine (13.5 s and 841 MB as a table), so C(24, 12) = 2.7M bases would
+# take about a minute and 4 GB
+MAX_BASES = 2**21
+
 
 @dataclass(frozen=True)
 class LatticePathMatroid:
@@ -90,10 +96,8 @@ def lpm_new(n: int, upper, lower) -> LatticePathMatroid:
     """Validated LPM; raises GaleOrderError with the first failing index."""
     if n < 0:
         raise DomainError(f"n={n} is negative")
-    u = tuple(sorted(int(x) for x in upper))
-    l = tuple(sorted(int(x) for x in lower))
-    ground = set(range(1, n + 1))
-    if not set(u) <= ground or not set(l) <= ground:
+    u, l = (tuple(sorted(map(int, steps))) for steps in (upper, lower))
+    if not all(1 <= x <= n for x in u + l):
         raise DomainError(f"steps must lie in [{n}]: U={u}, L={l}")
     if len(set(u)) != len(u) or len(set(l)) != len(l):
         raise DomainError("step sets must have distinct elements")
@@ -113,7 +117,10 @@ def uniform_lpm(k: int, n: int) -> LatticePathMatroid:
 def lpm_bases(m: LatticePathMatroid) -> frozenset[frozenset[int]]:
     """The Gale interval [U, L], grown one position at a time as
     :func:`_gale_count` counts it: the i-th element takes each value in
-    [u_i, l_i] above the (i-1)-th, and there is always one, as l_{i-1} < l_i."""
+    [u_i, l_i] above the (i-1)-th, and there is always one, as l_{i-1} < l_i.
+    An M with more than MAX_BASES bases is refused before any is listed."""
+    if _gale_count(m.U, m.L) > MAX_BASES:
+        raise DomainError(f"lpm_bases lists at most {MAX_BASES} bases, and {m} has more")
     paths = [(0,)]
     for lo, hi in zip(m.U, m.L):
         paths = [p + (b,) for p in paths for b in range(max(lo, p[-1] + 1), hi + 1)]
@@ -233,11 +240,10 @@ def lpfm_flag(constituents) -> LPFMFlag:
     n = parts[0].n
     if any(m.n != n for m in parts):
         raise DomainError("constituents live on different ground sets")
-    ranks = [m.k for m in parts]
-    if ranks == list(range(1, n)):
+    ranks = [m.k for m in parts]  # their count is checked before 1..n is built
+    if len(ranks) == n - 1 and ranks == list(range(1, n)):
         parts.append(uniform_lpm(n, n))
-        ranks.append(n)
-    if ranks != list(range(1, n + 1)):
+    elif len(ranks) != n or ranks != list(range(1, n + 1)):
         raise DomainError(f"need ranks 1..{n}, got {ranks}")
     for a, b in zip(parts, parts[1:]):
         if not is_lpm_quotient(a, b):
@@ -302,13 +308,22 @@ def _is_lpm_family(family: list[tuple[int, ...]]) -> bool:
 
 @lru_cache(maxsize=None)
 def _gale_count(upper: tuple[int, ...], lower: tuple[int, ...]) -> int:
-    """Number of increasing tuples b with upper <= b <= lower coordinatewise.
+    """Number of increasing tuples b with upper <= b <= lower coordinatewise,
+    for increasing upper <= lower, while it is at most MAX_BASES, and else
+    some number above MAX_BASES.
 
-    ``verify.lattice_path_count`` is its oracle: it counts the same tuples
-    route by route."""
-    ends = [1] * (lower[-1] + 1)  # ends[b]: the tuples so far that end at or below b
+    The prefixes (b_1, ..., b_i) are counted by their last value, which
+    runs over [u_i, l_i], so time and memory follow those ranges and not
+    their values.  Each prefix extends to a tuple, as u_i <= b_i <= l_i <
+    l_{i+1}, so once the prefixes, or the values of one position, pass
+    MAX_BASES, so do the tuples.  ``verify.lattice_path_count`` is its
+    oracle: it counts the same tuples route by route."""
+    ends, start = [1], 0  # ends[b - start]: the prefixes so far that end at or below b
     for lo, hi in zip(upper, lower):
-        ends = list(accumulate(ends[b - 1] if lo <= b <= hi else 0 for b in range(len(ends))))
+        if hi - lo >= MAX_BASES or ends[-1] > MAX_BASES:
+            return MAX_BASES + 1
+        below = (ends[min(b - 1 - start, len(ends) - 1)] for b in range(lo, hi + 1))
+        ends, start = list(accumulate(below)), lo
     return ends[-1]
 
 

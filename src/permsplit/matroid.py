@@ -78,9 +78,8 @@ def matroid_from_bases(n: int, bases) -> SetMatroid:
     bset = frozenset(frozenset(b) for b in bases)
     if not bset:
         raise DomainError("a matroid needs at least one basis")
-    ground = frozenset(range(1, n + 1))
     for b in bset:
-        if not b <= ground:
+        if not all(1 <= x <= n for x in b):
             raise DomainError(f"basis {sorted(b)} not a subset of [{n}]")
     sizes = {len(b) for b in bset}
     if len(sizes) != 1:
@@ -104,9 +103,10 @@ def _lattice(m: SetMatroid) -> tuple[tuple[int, ...], frozenset[int]]:
     on every S at once.  rank[S] counts the k for which S holds an independent
     k-set (one below a basis).  A circuit is a dependent S whose every S - x
     is independent, a flat an F with rank[F + x] > rank[F] for each x outside."""
-    n, size = m.n, 1 << m.n
+    n = m.n
     if n > MAX_LATTICE_N:
         raise DomainError(f"circuits and flats need n <= {MAX_LATTICE_N} (2^n subsets), got n={n}")
+    size = 1 << n
     ones = int.from_bytes(b"\1" * size, "little")
     marks = bytearray(size)
     for b in m.bases:
@@ -131,13 +131,12 @@ def _lattice(m: SetMatroid) -> tuple[tuple[int, ...], frozenset[int]]:
             frozenset(compress(range(size), flat.to_bytes(size, "little"))))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # idle (quotient tests read _lattice); perfbench/child.py reads its cache_info
 def circuits(m: SetMatroid) -> frozenset[frozenset[int]]:
     """Minimal dependent subsets."""
     return frozenset(frozenset(_elements(c)) for c in _lattice(m)[0])
 
 
-@lru_cache(maxsize=None)
 def flats(m: SetMatroid) -> frozenset[frozenset[int]]:
     """Subsets F with rank(F + e) > rank(F) for every e outside F."""
     return frozenset(frozenset(_elements(f)) for f in _lattice(m)[1])
@@ -163,7 +162,10 @@ def is_quotient(m: SetMatroid, n: SetMatroid, criterion: int = 1) -> bool:
     if criterion == 3:  # B' serves p unless some q in B' has B' - q + p in m but not B - q + p in n
         m_exchanges = _exchanges(m)
         for b, b_partners in _exchanges(n):
-            unmet = (1 << n.n) - 1 & ~b  # the p that no B' inside B serves yet
+            # the p that no B' inside B serves yet.  A p outside [n] is in no basis of m, so
+            # any B' inside B serves it, and if none lies inside B, B is not [n] and the
+            # verdict is false anyway: starting from every p outside B changes no verdict
+            unmet = ~b
             for bp, bp_partners in m_exchanges:
                 if unmet and not bp & ~b:
                     unmet &= reduce(or_, (x & ~y for x, y in zip(bp_partners, b_partners)), 0)

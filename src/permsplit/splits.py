@@ -108,7 +108,7 @@ greatest, and with the values above w + 1, both bounds fall as x grows.
 
 Within the ambient hyperplane sum(x) = n(n+1)/2, the supports S and [n]-S
 with complementary levels describe the same hyperplane; SplitHyperplane
-normalizes to the representative with the smaller (|S|, sorted S).
+keeps the side that :func:`_canonical` admits.
 """
 
 from __future__ import annotations
@@ -135,9 +135,23 @@ def _support_bounds(n: int, size: int) -> tuple[int, int]:
     return comb(size + 1, 2), sum(range(n - size + 1, n + 1))
 
 
+def _canonical(n: int, support) -> bool:
+    """Whether S, a nonempty proper subset of [n], is the side of S <-> [n] - S
+    that hyperplanes keep: 2|S| < n, or 2|S| = n and 1 in S.  This is the side
+    with the smaller (|S|, sorted S): of two complements of equal size, exactly
+    one holds 1, and its sorted tuple is the smaller."""
+    return (2 * len(support), 1 not in support) <= (n, False)
+
+
 @dataclass(frozen=True)
 class SplitHyperplane:
-    """x_S = level, normalized across the ambient complement S <-> [n] - S."""
+    """x_S = level, normalized across the ambient complement S <-> [n] - S to
+    the side :func:`_canonical` admits.
+
+    Membership in [n] is read from the bounds of S, and [n] - S is built only
+    when it is the side kept, where n <= 2|S|: the cost follows the support's
+    size, not n.
+    """
 
     n: int
     support: frozenset[int]
@@ -145,19 +159,15 @@ class SplitHyperplane:
 
     def __post_init__(self):
         n = self.n
-        if n < 1:
-            raise DomainError("need n >= 1")
-        s = frozenset(int(i) for i in self.support)
-        if not s or not s < frozenset(range(1, n + 1)):
+        s = frozenset(map(int, self.support))
+        if not 0 < len(s) < n or min(s) < 1 or max(s) > n:
             raise DomainError(f"support must be a nonempty proper subset of [{n}]")
         level = self.level
         if isinstance(level, bool) or int(level) != level:
             raise DomainError(f"level must be an integer, got {level!r}")
         level = int(level)
-        comp = frozenset(range(1, n + 1)) - s
-        total = n * (n + 1) // 2
-        if (len(comp), tuple(sorted(comp))) < (len(s), tuple(sorted(s))):
-            s, level = comp, total - level
+        if not _canonical(n, s):
+            s, level = frozenset(range(1, n + 1)) - s, n * (n + 1) // 2 - level
         lo, hi = _support_bounds(n, len(s))
         if not lo <= level <= hi:
             raise DomainError(
@@ -438,11 +448,9 @@ def _open_levels(n: int, support) -> list[int]:
 
 
 def _canonical_supports(n: int):
-    """The supports SplitHyperplane keeps; [n] - S gives the same hyperplanes."""
-    for size in range(1, n // 2 + 1):
-        for s in combinations(range(1, n + 1), size):
-            if 2 * size < n or s[0] == 1:
-                yield s
+    """The supports SplitHyperplane keeps, those that :func:`_canonical`
+    admits; [n] - S gives the same hyperplanes."""
+    return (s for k in range(1, n) for s in combinations(range(1, n + 1), k) if _canonical(n, s))
 
 
 def exhaustive_scan(n: int) -> tuple[SplitHyperplane, ...]:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from permsplit import matroid
 from permsplit.cli import UsageError, _emit, _run, build_parser, main, parse_hyperplane
 from permsplit.errors import _json_text
-from permsplit.lpm import MAX_CHAIN_N
+from permsplit.lpm import MAX_BASES, MAX_CHAIN_N
 from permsplit.perm import MAX_LATTICE_N, bruhat_interval, identity, longest, perm_to_str
 from permsplit.splits import MAX_SCAN_N, SplitHyperplane, hyperplane_to_json, theorem_hyperplanes
 from test_subdivision import drop_first_cell
@@ -22,6 +23,26 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_traced(capsys, *argv):
+    """``run``, and the peak of the memory that Python allocated meanwhile, in bytes."""
+    build_parser()  # made once per process; not part of any request
+    tracemalloc.start()
+    try:
+        result = run(capsys, *argv)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# an n whose ground set [n] takes about 300 MB to build, and one that cannot be built
+HUGE_N = (3_000_000, 10**12)
+HUGE = HUGE_N[0]
+
+
+def _huge_flag(n, *steps):
+    return json.dumps({"n": n, "constituents": [{"n": n, "U": s, "L": s} for s in steps]})
 
 
 def test_parse_hyperplane():
@@ -276,14 +297,18 @@ LATTICE_REFUSALS = [
     ("matroid", "quotient-check", '{"n": 17, "bases": [[]]}', '{"n": 17, "bases": [[1]]}',
      "--criterion", "2"),
     ("matroid", "from-matrix", json.dumps([[(3 * i + j * j) % 7 for j in range(40)] for i in range(20)])),
+    # and refused before [n] is built
+    pytest.param(("matroid", "circuits", json.dumps({"n": HUGE, "bases": [[1]]})),
+                 id=f"matroid circuits n={HUGE}"),
+    pytest.param(("flag", "polytope", _huge_flag(HUGE, [1], [1, 2])), id=f"flag polytope n={HUGE}"),
 ]
 
 
 @pytest.mark.parametrize("argv", LATTICE_REFUSALS, ids=lambda a: " ".join(a[:2]))
 def test_lattice_bound_refuses_at_once(capsys, argv):
     start = time.perf_counter()
-    code, out, err = run(capsys, *argv)
-    assert time.perf_counter() - start < 1.0
+    (code, out, err), peak = run_traced(capsys, *argv)
+    assert time.perf_counter() - start < 1.0 and peak < 5_000_000
     assert code == 1 and not out and "Traceback" not in err
     assert str(MAX_LATTICE_N) in err and err.startswith("error: ")
 
@@ -310,12 +335,54 @@ def test_flag_interval_answers_beyond_the_lattice_bound(capsys):
     (("lpm", "chain", "-n", str(MAX_CHAIN_N + 1), "1", "1", "1", "1"), f"n <= {MAX_CHAIN_N}"),
     (("split", "theorem", "-n", str(MAX_SCAN_N + 1)), f"n <= {MAX_SCAN_N}"),
     (("split", "check", "-n", str(MAX_SCAN_N + 1), "x1+x2=5"), f"n <= {MAX_SCAN_N}"),
-], ids=["lpm chain", "split theorem", "split check"])
+    # at an n whose [n] is never built
+    (("split", "check", "-n", str(HUGE), "x1=2"), f"n <= {MAX_SCAN_N}, got n={HUGE}"),
+    (("lpm", "chain", "-n", str(HUGE), "1", "1", "1,2", "1,2"), f"n <= {MAX_CHAIN_N}, got n={HUGE}"),
+    (("flag", "interval", _huge_flag(HUGE, [1])), f"need ranks 1..{HUGE}, got [1]"),
+], ids=["lpm chain", "split theorem", "split check",
+        f"split check n={HUGE}", f"lpm chain n={HUGE}", f"flag interval n={HUGE}"])
 def test_size_bounds_refuse_at_once(capsys, argv, bound):
     start = time.perf_counter()
-    code, out, err = run(capsys, *argv)
-    assert time.perf_counter() - start < 1.0
+    (code, out, err), peak = run_traced(capsys, *argv)
+    assert time.perf_counter() - start < 1.0 and peak < 5_000_000
     assert code == 1 and not out and bound in err and err.startswith("error: ")
+
+
+def _answers_at(n):
+    """Requests whose answers do not grow with n, and their exact stdout."""
+    answers = {
+        "split dual x1=2": (("split", "dual", "-n", str(n), "x1=2"), f"dual  x1={n - 1}\n"),
+        "split dual x1=n-1": (("split", "dual", "-n", str(n), f"x1={n - 1}"), "dual  x1=2\n"),
+        "lpm bases": (("lpm", "bases", "-n", str(n), "1", "1"), "1\n"),
+        "lpm good-pairs": (("lpm", "good-pairs", "-n", str(n), "1", "1"), "u=1 (j=1)  l=1 (i=1)\n"),
+        "matroid quotient-check": (
+            ("matroid", "quotient-check", *[json.dumps({"n": n, "bases": [[1]]})] * 2, "--criterion", "3"),
+            "criterion 3  true\n"),
+        "matroid validate": (
+            ("matroid", "validate", json.dumps({"n": n, "bases": [[1]]}), "--format", "json"),
+            f'{{\n  "ok": true,\n  "n": {n},\n  "rank": 1,\n  "bases": 1\n}}\n'),
+    }
+    return [pytest.param(*a, id=f"{name} n={n}") for name, a in answers.items()]
+
+
+@pytest.mark.parametrize("argv, out", [a for n in HUGE_N for a in _answers_at(n)])
+def test_answers_cost_what_their_text_costs(capsys, argv, out):
+    # membership in [n] is read from the bounds 1 <= x <= n, so neither n
+    # builds its ground set
+    start = time.perf_counter()
+    result, peak = run_traced(capsys, *argv)
+    assert time.perf_counter() - start < 1.0 and peak < 5_000_000
+    assert result == (0, out, "")
+
+
+def test_lpm_bases_refuses_above_max_bases(capsys):
+    # C(40, 20) bases: counted, not listed, before the refusal
+    up, low = ",".join(map(str, range(1, 21))), ",".join(map(str, range(21, 41)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "lpm", "bases", "-n", "40", up, low)
+    assert time.perf_counter() - start < 0.1
+    assert (code, out) == (1, "") and err == (
+        f"error: lpm_bases lists at most {MAX_BASES} bases, and M[{up};{low}] has more\n")
 
 
 def test_split_check_answers_at_the_scan_bound(capsys):

@@ -1,9 +1,11 @@
 import random
+import re
 import time
 from itertools import combinations, product
 
 import pytest
 
+from permsplit import lpm
 from permsplit.errors import DomainError, GaleOrderError
 from permsplit.lpm import (
     MAX_CHAIN_N,
@@ -79,6 +81,33 @@ def test_lpm_bases_lists_only_the_interval():
     m = lpm_new(30, range(1, 16), range(1, 16))
     assert lpm_bases(m) == {frozenset(range(1, 16))}
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.fixture
+def fresh_lpm_caches():
+    # lpm_bases and _gale_count keep answers that depend on MAX_BASES
+    lpm.lpm_bases.cache_clear()
+    lpm._gale_count.cache_clear()
+    yield
+    lpm.lpm_bases.cache_clear()
+    lpm._gale_count.cache_clear()
+
+
+@pytest.mark.parametrize("upper, lower", [((1, 2), (4, 5)), ((1,), (10,))])
+def test_lpm_bases_lists_up_to_max_bases(monkeypatch, fresh_lpm_caches, upper, lower):
+    monkeypatch.setattr(lpm, "MAX_BASES", 10)
+    m = lpm_new(12, upper, lower)
+    assert len(lpm_bases(m)) == 10 and lpm_bases(m) == gale_interval_brute(12, m.U, m.L)
+
+
+# eleven bases: one position with eleven values, or two positions whose
+# prefixes pass the bound only at the last one (3, then 11)
+@pytest.mark.parametrize("upper, lower", [((1,), (11,)), ((1, 3), (3, 6))])
+def test_lpm_bases_refuses_above_max_bases(monkeypatch, fresh_lpm_caches, upper, lower):
+    monkeypatch.setattr(lpm, "MAX_BASES", 10)
+    m = lpm_new(12, upper, lower)
+    with pytest.raises(DomainError, match=re.escape(f"lists at most 10 bases, and {m} has more")):
+        lpm_bases(m)
 
 
 def test_lpm_bases_satisfy_exchange():

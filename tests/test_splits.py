@@ -16,6 +16,7 @@ from permsplit.polytope import faces_2d, is_bip, permutahedron_edges, permutahed
 from permsplit.splits import (
     MAX_SCAN_N,
     SplitHyperplane,
+    _canonical,
     _canonical_supports,
     _families,
     _label,
@@ -60,6 +61,24 @@ def test_hyperplane_normalization():
     assert hyperplane_text(H(5, {1, 2, 3}, 7)) == "x4+x5=8"
 
 
+def test_canonical_side_matches_the_tuple_rule():
+    # the reference rule: of S and [n] - S, keep the side with the smaller
+    # (|S|, sorted S)
+    for n in range(2, 11):
+        total, kept = n * (n + 1) // 2, []
+        for k in range(1, n):
+            for s in combinations(range(1, n + 1), k):
+                comp = tuple(sorted(set(range(1, n + 1)) - set(s)))
+                keep = not (len(comp), comp) < (len(s), s)
+                assert _canonical(n, s) == _canonical(n, frozenset(s)) == keep, (n, s)
+                kept += [s] * keep
+                lo, hi = _support_bounds(n, k)
+                for t in range(lo, hi + 1):
+                    h = H(n, s, t)
+                    assert (tuple(sorted(h.support)), h.level) == ((s, t) if keep else (comp, total - t))
+        assert list(_canonical_supports(n)) == kept
+
+
 def test_hyperplane_bounds():
     with pytest.raises(DomainError):
         H(4, {1}, 0)
@@ -69,6 +88,9 @@ def test_hyperplane_bounds():
         H(4, {1, 2, 3, 4}, 10)
     with pytest.raises(DomainError):
         SplitHyperplane(n=4, support=frozenset({1}), level=2.5)
+    for n, support in ((4, {0, 1}), (4, {5}), (4, set()), (1, {1}), (0, {1}), (-2, {1})):
+        with pytest.raises(DomainError, match=rf"nonempty proper subset of \[{n}\]"):
+            H(n, support, 1)
 
 
 def test_theorem_hyperplanes_lists():
