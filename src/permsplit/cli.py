@@ -68,15 +68,18 @@ def parse_hyperplane(text: str, n: int) -> SplitHyperplane:
     """Parse "x1+x2=4" or "x_{1,3}=7" with bounds checks against n."""
     text = text.replace(" ", "")
     m = _HYP_SET.match(text)
-    if m:
-        support = [int(t) for t in m.group(1).split(",")]
-        level = int(m.group(3))
-    elif _HYP_SUM.match(text):
-        lhs, rhs = text.split("=")
-        support = [int(t[1:]) for t in lhs.split("+")]
-        level = int(rhs)
-    else:
-        raise UsageError(f"malformed hyperplane {text!r}")
+    try:  # int() also refuses more digits than sys.get_int_max_str_digits()
+        if m:
+            support = [int(t) for t in m.group(1).split(",")]
+            level = int(m.group(3))
+        elif _HYP_SUM.match(text):
+            lhs, rhs = text.split("=")
+            support = [int(t[1:]) for t in lhs.split("+")]
+            level = int(rhs)
+        else:
+            raise ValueError
+    except ValueError:
+        raise UsageError(f"malformed hyperplane {text!r}") from None
     if len(set(support)) != len(support):
         raise UsageError(f"repeated index in {text!r}")
     bad = next((i for i in support if not 1 <= i <= n), None)

@@ -225,6 +225,16 @@ def _matrix_rank_int(rows) -> int:
     return len(_eliminate(rows)[0])
 
 
+def _integer_rows(rows) -> list[list[int]]:
+    """Each row of ints or Fractions times the lcm of its denominators: integer
+    rows with the same row space, so with the same rank and column matroid."""
+    out = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (den // x.denominator) for x in row])
+    return out
+
+
 def matroid_from_rational_matrix(rows) -> SetMatroid:
     """Column matroid of an exact rational matrix.
 
@@ -233,10 +243,7 @@ def matroid_from_rational_matrix(rows) -> SetMatroid:
     exchange test: the maximal independent column sets of a matrix satisfy
     the exchange axiom (Steinitz), so a column matroid is a matroid.
     """
-    mat = []
-    for row in matrix_from_json(rows):  # clearing denominators keeps the matroid
-        den = lcm(*(x.denominator for x in row))
-        mat.append([int(x * den) for x in row])
+    mat = _integer_rows(matrix_from_json(rows))
     ncols = len(mat[0])
     if ncols > MAX_LATTICE_N:
         raise DomainError(f"matroid_from_rational_matrix needs at most {MAX_LATTICE_N} columns,"

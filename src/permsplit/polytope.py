@@ -13,12 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb, gcd, lcm
+from math import comb, gcd
 from operator import eq, ge, le, mul
 
 from .errors import DomainError
-from .matroid import _eliminate, _matrix_rank_int, is_quotient
-from .perm import BruhatInterval, Perm, _proved_interval, bruhat_interval, bruhat_leq, perm
+from .matroid import _eliminate, _integer_rows, _matrix_rank_int, is_quotient
+from .perm import (MAX_LATTICE_N, BruhatInterval, Perm, _proved_interval, bruhat_interval,
+                   bruhat_leq, perm)
 
 Point = tuple  # n exact rationals (ints or Fractions)
 
@@ -156,7 +157,8 @@ def flag_polytope_vertices(constituents) -> frozenset[Point]:
 
     Chains grow one constituent at a time, as ``lpm.lpm_bases`` grows paths;
     a partial chain is kept as (its last basis, its sum so far), which is all
-    that its extensions read.
+    that its extensions read.  Every point has n coordinates, so n is bounded
+    by MAX_LATTICE_N, as the quotient tests bound it.
     """
     parts = list(constituents)
     if not parts:
@@ -165,6 +167,8 @@ def flag_polytope_vertices(constituents) -> frozenset[Point]:
     for a, b in zip(parts, parts[1:]):
         if not is_quotient(a, b):
             raise DomainError("consecutive constituents are not quotients")
+    if n > MAX_LATTICE_N:  # a flag of two or more met the same bound in is_quotient
+        raise DomainError(f"flag polytopes need n <= {MAX_LATTICE_N}, got n={n}")
     chains = {(frozenset(), (0,) * n)}
     for m in parts:
         chains = {(b, tuple(x + (i in b) for i, x in enumerate(acc, 1)))
@@ -210,16 +214,8 @@ def _solve_square(rows, rhs, n):
 
 def affine_rank(points) -> int:
     """Dimension of the affine span of exact points."""
-    pts = [tuple(Fraction(x) for x in p) for p in points]
-    if len(pts) < 2:
-        return 0
-    base = pts[0]
-    rows = []
-    for p in pts[1:]:
-        diff = [x - y for x, y in zip(p, base)]
-        den = lcm(*(f.denominator for f in diff)) if diff else 1
-        rows.append([int(f * den) for f in diff])
-    return _matrix_rank_int(rows)
+    pts = list(points)
+    return _matrix_rank_int(_integer_rows([x - y for x, y in zip(p, pts[0])] for p in pts[1:]))
 
 
 def enumerate_vertices(constraints, n: int) -> VertexEnumeration:
@@ -275,13 +271,7 @@ def enumerate_vertices(constraints, n: int) -> VertexEnumeration:
 
 
 def is_permutation_point(p: Point) -> bool:
-    vals = []
-    for x in p:
-        f = Fraction(x)
-        if f.denominator != 1:
-            return False
-        vals.append(f.numerator)
-    return sorted(vals) == list(range(1, len(vals) + 1))
+    return sorted(p) == list(range(1, len(p) + 1))  # a non-integer Fraction equals no int
 
 
 # --- JSON forms -------------------------------------------------------------

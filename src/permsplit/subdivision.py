@@ -237,20 +237,6 @@ def subdivision_to_json(s: Subdivision) -> dict:
     }
 
 
-def rejection_to_json(r: SubdivisionRejection) -> dict:
-    if r.reason == "new-vertex":
-        witness = [str(Fraction(x)) for x in r.witness]
-    else:
-        witness = [perm_to_str(p) for p in r.witness]
-    return {
-        "n": r.n,
-        "hyperplanes": [hyperplane_to_json(h) for h in r.hyperplanes],
-        "rejected": r.reason,
-        "signs": r.signs,
-        "witness": witness,
-    }
-
-
 def poset_to_json(p: SubdivisionPoset) -> dict:
     return {
         "n": p.n,

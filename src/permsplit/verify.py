@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from operator import ge, le
 
 from .errors import DomainError
@@ -84,10 +84,6 @@ class CheckResult:
     detail: str
 
 
-def _result(name, passed, detail) -> CheckResult:
-    return CheckResult(name=name, passed=bool(passed), detail=detail)
-
-
 # --- oracles -----------------------------------------------------------------
 
 
@@ -149,32 +145,20 @@ def all_lpfm_flags(n: int) -> list[LPFMFlag]:
     return flags
 
 
-def schubert_flags(n: int) -> list[LPFMFlag]:
-    """Every full flag of Schubert LPMs, one per chain of U-step sets.
-    :func:`all_lpfm_flags` contains them all."""
-    flags = []
-    for order in permutations(range(1, n + 1)):
-        steps = []
-        acc = []
-        for k, val in enumerate(order, start=1):
-            acc.append(val)
-            steps.append(lpm_new(n, sorted(acc), range(n - k + 1, n + 1)))
-        flags.append(LPFMFlag(n=n, constituents=tuple(steps)))
-    return flags
+def _sampled(items: list, n: int, seed: int, noun: str):
+    """(label, items): every item for n <= 4, else _SAMPLES seeded ones."""
+    if n <= 4:
+        return f"exhaustive ({len(items)} {noun})", items
+    return f"{_SAMPLES} sampled {noun}", random.Random(seed).sample(items, _SAMPLES)
 
 
-def sample_lpfm_flags(n: int, count: int, rng: random.Random) -> list[LPFMFlag]:
-    """Distinct random full flags, grown by random elementary quotients."""
-    seen = {}
-    attempts = 0
-    while len(seen) < count and attempts < 50 * count:
-        attempts += 1
-        stack = [uniform_lpm(n, n)]
-        while stack[-1].k > 1:
-            stack.append(elementary_quotient(stack[-1], rng.choice(good_pairs(stack[-1]))))
-        flag = LPFMFlag(n=n, constituents=tuple(reversed(stack)))
-        seen[flag] = True
-    return list(seen)
+def _interval_table(n: int, seed: int):
+    """(label, [(u, v, members)]): the comparable pairs that _sampled draws, each
+    with its interval's sorted members by cover-digraph reachability."""
+    reach = cover_reachability(n)
+    label, pairs = _sampled([(u, v) for u in sorted(reach) for v in sorted(reach[u])],
+                            n, seed, "comparable pairs")
+    return label, [(u, v, tuple(sorted(z for z in reach[u] if v in reach[z]))) for u, v in pairs]
 
 
 # --- checks ------------------------------------------------------------------
@@ -189,31 +173,21 @@ def check_bruhat_oracle(n: int) -> CheckResult:
         for v in perms:
             if bruhat_leq(u, v) != (v in reach[u]):
                 bad += 1
-    return _result(
+    return CheckResult(
         f"bruhat-oracle[n={n}]",
         bad == 0,
         f"{len(perms) ** 2} ordered pairs compared, {bad} disagreements",
     )
 
 
-def _comparable_pairs(reach: dict, n: int, seed: int):
-    """Every comparable pair for n <= 4, else _SAMPLES seeded ones; and a label."""
-    pairs = [(u, v) for u in sorted(reach) for v in sorted(reach[u])]
-    if n <= 4:
-        return pairs, f"exhaustive ({len(pairs)} comparable pairs)"
-    return random.Random(seed).sample(pairs, _SAMPLES), f"{_SAMPLES} sampled comparable pairs"
-
-
 def check_interval_oracle(n: int, seed: int = 0) -> CheckResult:
     """Each interval, as tuples and as texts, must equal cover-digraph reachability's."""
-    reach = cover_reachability(n)
-    pairs, mode = _comparable_pairs(reach, n, seed)
+    mode, table = _interval_table(n, seed)
     bad = 0
-    for u, v in pairs:
-        members = tuple(sorted(z for z in reach[u] if v in reach[z]))
+    for u, v, members in table:
         bad += (bruhat_interval(u, v) != members
                 or interval_texts(u, v) != list(map(perm_to_str, members)))
-    return _result(f"interval-oracle[n={n}]", bad == 0, f"{mode}, {bad} mismatches")
+    return CheckResult(f"interval-oracle[n={n}]", bad == 0, f"{mode}, {bad} mismatches")
 
 
 def check_flag_oracle(n: int, seed: int = 0) -> CheckResult:
@@ -223,11 +197,9 @@ def check_flag_oracle(n: int, seed: int = 0) -> CheckResult:
     sets, and its verdict applies the exchange and quotient tests that
     flag_of_interval leaves out.
     """
-    reach = cover_reachability(n)
-    pairs, mode = _comparable_pairs(reach, n, seed)
+    mode, table = _interval_table(n, seed)
     bad = 0
-    for u, v in pairs:
-        members = [z for z in reach[u] if v in reach[z]]
+    for u, v, members in table:
         families = [frozenset(f) for f in zip(*map(chain_of_permutation, members))]
         oracle = [SetMatroid(n=n, bases=f, rank=i) for i, f in enumerate(families, start=1)]
         verdict = (
@@ -237,7 +209,7 @@ def check_flag_oracle(n: int, seed: int = 0) -> CheckResult:
         )
         matroids, got = flag_of_interval(BruhatInterval(u, v))
         bad += (list(matroids), got) != (oracle, verdict)
-    return _result(f"flag-oracle[n={n}]", bad == 0, f"{mode}, {bad} mismatches")
+    return CheckResult(f"flag-oracle[n={n}]", bad == 0, f"{mode}, {bad} mismatches")
 
 
 def is_positroid(n: int, bases) -> bool:
@@ -269,14 +241,14 @@ def is_positroid(n: int, bases) -> bool:
 def check_flag_positroid(n: int) -> CheckResult:
     """Every constituent of both cells of every good split is a positroid,
     as the flags of the totally nonnegative flag variety are."""
-    cells = [cell for h in theorem_hyperplanes(n) for cell in check_split(h).cells]
+    cells = [cell for h in theorem_hyperplanes(n) for cell in predicted_cells(h)]
     bad = [
         f"{m.rank}-constituent of [{''.join(map(str, cell.lo))}, {''.join(map(str, cell.hi))}]"
         for cell in cells
         for m in flag_of_interval(cell)[0]
         if not is_positroid(n, m.bases)
     ]
-    return _result(
+    return CheckResult(
         f"flag-positroid[n={n}]",
         not bad,
         f"{len(cells)} cells, {n * len(cells)} constituents, {len(bad)} not positroids"
@@ -286,12 +258,7 @@ def check_flag_positroid(n: int) -> CheckResult:
 
 def check_interval_polytope_match(n: int, seed: int = 0) -> CheckResult:
     """Flag polytope vertices must equal the point set of the flag interval."""
-    if n <= 4:
-        flags = all_lpfm_flags(n)
-        mode = f"exhaustive ({len(flags)} flags)"
-    else:
-        flags = sample_lpfm_flags(n, _SAMPLES, random.Random(seed))
-        mode = f"{len(flags)} sampled flags"
+    mode, flags = _sampled(all_lpfm_flags(n), n, seed, "flags")
     bad = 0
     for flag in flags:
         interval = lpfm_interval(flag)
@@ -299,7 +266,7 @@ def check_interval_polytope_match(n: int, seed: int = 0) -> CheckResult:
         actual = flag_polytope_vertices([to_set_matroid(m) for m in flag.constituents])
         if actual != expected:
             bad += 1
-    return _result(
+    return CheckResult(
         f"interval-polytope-match[n={n}]", bad == 0, f"{mode}, {bad} mismatches"
     )
 
@@ -311,7 +278,7 @@ def check_theorem_hyperplanes(n: int) -> CheckResult:
     hyps = theorem_hyperplanes(n)
     bad = [f"{h}: cells are not LPM flags" for h in hyps
            if not all(flag_of_interval(cell)[1] for cell in predicted_cells(h))]
-    return _result(f"theorem-hyperplanes[n={n}]", not bad, "; ".join(bad) or f"{len(hyps)} hyperplanes")
+    return CheckResult(f"theorem-hyperplanes[n={n}]", not bad, "; ".join(bad) or f"{len(hyps)} hyperplanes")
 
 
 def _face_walk(n: int, support, level: int):
@@ -362,7 +329,7 @@ def check_classification(n: int) -> CheckResult:
                     problems.append(f"{h}: cells differ from the closed form")
             elif (report.verdict, report.offending_face) != _face_walk(n, h.support, t):
                 problems.append(f"{h}: verdict or face differs from the face walk")
-    return _result(
+    return CheckResult(
         f"split-classification[n={n}]",
         not problems,
         f"{len(scanned)} good splits, {levels} levels match the interval test"
@@ -404,7 +371,7 @@ def check_duality(n: int) -> CheckResult:
     iv2 = dual_interval(BruhatInterval(b, longest(6)))
     if iv2.lo != identity(6) or iv2.hi != perm((6, 4, 5, 3, 2, 1)):
         problems.append("[132456,w]* != [e, 645321]")
-    return _result(
+    return CheckResult(
         f"duality[n={n}]",
         not problems,
         f"{len(good)} good splits dualized" if not problems else "; ".join(problems),
@@ -456,7 +423,7 @@ def check_l4_poset() -> CheckResult:
     rej = subdivision_from_hyperplanes(4, pair)
     if not isinstance(rej, SubdivisionRejection) or rej.reason != "new-vertex":
         problems.append("x1+x2=6 with x4=2 was not rejected for a new vertex")
-    return _result(
+    return CheckResult(
         "l4-poset",
         not problems,
         f"{len(poset.elements)} elements, 6 minimal, 2 maximal"
@@ -490,7 +457,7 @@ def check_quotient_criteria(n: int) -> CheckResult:
             bad_chains += chain is not None
     violations = sum(exchange_violation(lpm_bases(m)) is not None for m in lpms)
     wrong = sum((circuits(m), flats(m)) != _defined_lattice(m) for m in map(to_set_matroid, lpms))
-    return _result(
+    return CheckResult(
         f"quotient-criteria[n={n}]",
         disagreements == bad_chains == violations == wrong == 0,
         f"{len(lpms) ** 2} pairs, {disagreements} disagreements, {bad_chains} bad chains,"
@@ -528,7 +495,7 @@ def check_good_pairs(n: int) -> CheckResult:
                 checked += 1
                 if is_good != is_quot:
                     bad += 1
-    return _result(
+    return CheckResult(
         f"good-pairs[n={n}]", bad == 0, f"{checked} removals checked, {bad} mismatches"
     )
 
@@ -567,7 +534,7 @@ def check_exact_kernel(n: int, seed: int = 0) -> CheckResult:
             mismatches += 1
     if mismatches:
         problems.append(f"{mismatches} basis counts disagree with route counting")
-    return _result(
+    return CheckResult(
         f"exact-kernel[n={n}]",
         not problems,
         f"{len(pts)} vertices, {_SAMPLES} basis counts"

@@ -18,8 +18,9 @@ analysis lives in the project notes:
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
-from permsplit.lpm import lpfm_interval, lpm_bases, lpm_new, to_set_matroid
+from permsplit.lpm import LPFMFlag, lpfm_interval, lpm_bases, lpm_new, to_set_matroid
 from permsplit.matroid import SetMatroid, is_quotient, matroid_from_rational_matrix
 from permsplit.perm import BruhatInterval, bruhat_leq, dual_interval, identity, longest, perm
 from permsplit.polytope import (
@@ -44,8 +45,6 @@ from permsplit.verify import (
     all_lpms,
     cover_reachability,
     lattice_path_count,
-    sample_lpfm_flags,
-    schubert_flags,
 )
 
 SEED = 20240801
@@ -96,6 +95,20 @@ def test_criterion_1_bruhat_oracle():
     print("ACCEPTANCE 1 bruhat-oracle (n=3,4,5 exhaustive): PASS")
 
 
+def schubert_flags(n: int) -> list[LPFMFlag]:
+    """Every full flag of Schubert LPMs, one per chain of U-step sets.
+    :func:`all_lpfm_flags` contains them all."""
+    flags = []
+    for order in permutations(range(1, n + 1)):
+        steps = []
+        acc = []
+        for k, val in enumerate(order, start=1):
+            acc.append(val)
+            steps.append(lpm_new(n, sorted(acc), range(n - k + 1, n + 1)))
+        flags.append(LPFMFlag(n=n, constituents=tuple(steps)))
+    return flags
+
+
 def test_criterion_2_interval_polytope_correspondence():
     for n in (3, 4):
         flags = {f: None for f in all_lpfm_flags(n)}
@@ -108,7 +121,7 @@ def test_criterion_2_interval_polytope_correspondence():
                 [to_set_matroid(m) for m in flag.constituents]
             )
             assert actual == expected, flag
-    sampled = sample_lpfm_flags(5, 200, random.Random(SEED))
+    sampled = random.Random(SEED).sample(all_lpfm_flags(5), 200)
     assert len(sampled) >= 200
     for flag in sampled:
         iv = lpfm_interval(flag)

@@ -250,6 +250,54 @@ def test_verify_n3(capsys):
     assert "FAIL" not in out
 
 
+VERIFY_5 = """\
+PASS  bruhat-oracle[n=5]: 14400 ordered pairs compared, 0 disagreements
+PASS  interval-oracle[n=5]: 200 sampled comparable pairs, 0 mismatches
+PASS  flag-oracle[n=5]: 200 sampled comparable pairs, 0 mismatches
+PASS  flag-positroid[n=5]: 20 cells, 100 constituents, 0 not positroids
+PASS  interval-polytope-match[n=5]: 200 sampled flags, 0 mismatches
+PASS  theorem-hyperplanes[n=5]: 10 hyperplanes
+PASS  split-classification[n=5]: 10 good splits, 65 levels match the interval test and 55 bad \
+ones the face walk
+PASS  duality[n=5]: 10 good splits dualized
+PASS  quotient-criteria[n=5]: 17424 pairs, 0 disagreements, 0 bad chains, 0 not matroids, 0 \
+with other circuits or flats
+PASS  good-pairs[n=5]: 930 removals checked, 0 mismatches
+PASS  exact-kernel[n=5]: 120 vertices, 200 basis counts
+11/11 checks passed (n=5, seed=0)
+"""
+
+
+def test_verify_n5(capsys):
+    assert run(capsys, "verify", "-n", "5") == (0, VERIFY_5, "")
+
+
+def test_verify_n4_fails_on_the_two_red_facts(capsys):
+    code, out, err = run(capsys, "verify", "-n", "4")
+    assert (code, err, out.splitlines()[-1]) == (1, "", "10/12 checks passed (n=4, seed=0)")
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL  exact-kernel[n=4]: cut at x1+x2<=5 has only permutation vertices (edges change "
+        "x_S by at most 1, so an integer level never crosses an edge strictly; a fractional "
+        "vertex needs a non-integer level; known discrepancy, documented in the README)",
+        "FAIL  l4-poset: 5 maximal elements, expected 2 (stacks of parallel hyperplanes such as "
+        "x1=2 with x1=3 are genuinely maximal: every extension creates new vertices; known "
+        "discrepancy, documented in the README)",
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ("split", "dual", "-n", "5", "x1=" + "1" * 5000),
+    ("split", "check", "-n", "5", "x" + "1" * 5000 + "=2"),
+    ("split", "check", "-n", "5", "x_{" + "1" * 5000 + "}=2"),
+], ids=["dual level", "check index", "check set index"])
+def test_oversized_hyperplane_integer_exit_code(capsys, argv):
+    # more digits than int() reads from a text
+    start = time.perf_counter()
+    (code, out, err), peak = run_traced(capsys, *argv)
+    assert time.perf_counter() - start < 1.0 and peak < 5_000_000
+    assert (code, out, err) == (2, "", f"usage error: malformed hyperplane {argv[-1]!r}\n")
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["split", "nonsense", "-n", "4"]) == 2
     assert main([]) == 2
@@ -301,6 +349,9 @@ LATTICE_REFUSALS = [
     pytest.param(("matroid", "circuits", json.dumps({"n": HUGE, "bases": [[1]]})),
                  id=f"matroid circuits n={HUGE}"),
     pytest.param(("flag", "polytope", _huge_flag(HUGE, [1], [1, 2])), id=f"flag polytope n={HUGE}"),
+    # one constituent meets no quotient test, and each of its points has n coordinates
+    *(pytest.param(("flag", "polytope", _huge_flag(n, [1])), id=f"flag polytope of one n={n}")
+      for n in (MAX_LATTICE_N + 1, *HUGE_N)),
 ]
 
 

@@ -320,6 +320,14 @@ def test_enumerate_vertices_fractional_cut():
     assert stray  # fractional vertices where edges cross the half-integer level
     assert (1, Fraction(7, 2), 2, Fraction(7, 2)) in enum.points
 
+    def by_denominators(p):  # the reference: every coordinate an integer, then sorted
+        vals = [Fraction(x) for x in p]
+        return all(f.denominator == 1 for f in vals) and sorted(vals) == list(range(1, len(p) + 1))
+
+    mixed = product((1, 2, 3, Fraction(2), Fraction(7, 2)), repeat=3)
+    for p in chain(enum.points, mixed):
+        assert is_permutation_point(p) == by_denominators(p), p
+
 
 def test_enumerate_vertices_box_without_ambient_equality():
     # with no ambient equality, x1 and x2 are complementary supports in [2]
@@ -345,6 +353,10 @@ def test_affine_rank():
     assert affine_rank([(1, 2, 3)]) == 0
     assert affine_rank([(1, 2, 3), (2, 1, 3)]) == 1
     assert affine_rank([tuple(p) for p in permutahedron_vertices(4)]) == 3
+    assert affine_rank([]) == 0
+    a, b = (Fraction(1, 2), 0, 1), (0, Fraction(1, 3), 1)
+    assert affine_rank([a, b, (Fraction(1, 2), 0, Fraction(3, 2))]) == 2
+    assert affine_rank([a, b, (Fraction(-1, 2), Fraction(2, 3), 1)]) == 1  # a + 2(b - a)
 
 
 def _fraction_rref(rows):

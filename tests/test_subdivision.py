@@ -7,14 +7,15 @@ import pytest
 from permsplit import subdivision
 from permsplit.errors import DomainError, InvariantError
 from permsplit.lpm import flag_of_interval
-from permsplit.splits import SplitHyperplane, check_split, theorem_hyperplanes
+from permsplit.perm import perm_to_str
+from permsplit.polytope import point_to_json
+from permsplit.splits import SplitHyperplane, check_split, hyperplane_to_json, theorem_hyperplanes
 from permsplit.subdivision import (
     Subdivision,
     SubdivisionRejection,
     build_poset,
     export_poset,
     refines,
-    rejection_to_json,
     subdivision_from_hyperplanes,
     subdivision_to_json,
 )
@@ -25,6 +26,21 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 def H(n, support, level):
     return SplitHyperplane(n=n, support=frozenset(support), level=level)
+
+
+def rejection_to_json(r: SubdivisionRejection) -> dict:
+    """The fixture form of a rejection: its offending vertex, or its cell's permutations."""
+    if r.reason == "new-vertex":
+        witness = point_to_json(r.witness)
+    else:
+        witness = [perm_to_str(p) for p in r.witness]
+    return {
+        "n": r.n,
+        "hyperplanes": [hyperplane_to_json(h) for h in r.hyperplanes],
+        "rejected": r.reason,
+        "signs": r.signs,
+        "witness": witness,
+    }
 
 
 def by_name(n):

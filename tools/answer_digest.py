@@ -3,9 +3,11 @@
 Run from anywhere as ``python3 tools/answer_digest.py``; it takes no options.
 Every request goes in-process through ``permsplit.cli.main`` of the checkout
 this script sits in, and each group's line gives its request count and the
-SHA-1 over every request's (argv, exit code, stdout, stderr).  Two checkouts
-whose lines agree answer the corpus byte for byte alike, so copying this file
-into a checkout of another commit compares the two.
+SHA-1 over every request's (argv, exit code, stdout, stderr).  A request that
+raises out of ``main`` is recorded with the exception's type name in place of
+the exit code, and the run goes on.  Two checkouts whose lines agree answer
+the corpus byte for byte alike, so copying this file into a checkout of
+another commit compares the two.
 
 The groups:
 
@@ -20,9 +22,12 @@ The groups:
   JSON and DOT;
 * ``verify``: ``verify -n 3``, ``-n 4`` and ``-n 5``;
 * ``huge-n``: requests at n = 3,000,000 whose answers or refusals do not grow
-  with n, in both forms.
+  with n, in both forms;
+* ``malformed``: hyperplanes with a 5,000-digit integer as a level or an
+  index, and ``flag polytope`` of one constituent at n = 300,000, in both
+  forms.
 
-It took 10 s on a 2-core machine, and 19 s on a commit whose checks built
+It took 9 s on a 2-core machine, and 19 s on a commit whose checks built
 [n] for the ``huge-n`` requests (about 400 MB each).
 """
 
@@ -46,10 +51,13 @@ JSON = ["--format", "json"]
 HUGE = 3_000_000
 
 
-def answer(argv: list[str]) -> tuple[int, str, str]:
+def answer(argv: list[str]) -> tuple[int | str, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # a traceback's type stands in for the exit code
+            code = type(exc).__name__
     return code, out.getvalue(), err.getvalue()
 
 
@@ -115,6 +123,16 @@ def huge_n():
     ])
 
 
+def malformed():
+    ones, n = "1" * 5000, 300_000
+    return both_forms([
+        ["split", "dual", "-n", "5", f"x1={ones}"],
+        ["split", "check", "-n", "5", f"x{ones}=2"],
+        ["split", "check", "-n", "5", f"x_{{{ones}}}=2"],
+        ["flag", "polytope", json.dumps({"n": n, "constituents": [{"n": n, "U": [1], "L": [1]}]})],
+    ])
+
+
 GROUPS = {
     "queries": queries,
     "split-check": split_checks,
@@ -123,6 +141,7 @@ GROUPS = {
     "poset": posets,
     "verify": verifies,
     "huge-n": huge_n,
+    "malformed": malformed,
 }
 
 
