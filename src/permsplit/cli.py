@@ -101,7 +101,7 @@ def _read_doc(arg: str):
         return json.loads(arg)
     except OSError as exc:
         raise UsageError(f"cannot read {arg}: {exc.strerror}") from exc
-    except ValueError as exc:  # JSONDecodeError, or undecodable bytes
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, undecodable bytes, too deep
         raise UsageError(f"malformed JSON: {exc}") from exc
 
 

@@ -1,12 +1,15 @@
 """Matroids on [n] = {1, ..., n} stored extensionally by their bases.
 
-Derived data is computed on bit masks (bit x - 1 for the element x): circuits
-and flats from a rank table of all 2^n subsets, so for n <= MAX_LATTICE_N; the
-exchange test and the basis-exchange quotient criterion from the bases alone.
+Derived data is computed on bit masks.  Circuits and flats come from a rank
+table of all 2^n subsets, with bit x - 1 for the element x, so for n <=
+MAX_LATTICE_N.  The exchange test and the basis-exchange quotient criterion
+come from the bases alone, on exchange masks that give a bit only to the
+elements the bases hold, so their cost follows the bases and not n.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -33,44 +36,45 @@ class SetMatroid:
         return sorted(tuple(sorted(b)) for b in self.bases)
 
 
-def _mask(s) -> int:
-    return sum(1 << x - 1 for x in s)
-
-
 def _elements(mask: int) -> list[int]:
     return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _exchange_table(blist) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(B, partners) for each basis mask B, in order: partners[x - 1], for each x
-    in B, is the mask of the y outside B for which B - x + y is a basis."""
-    masks = list(map(_mask, blist))
-    family, table = set(masks), []
-    n = max(masks, default=0).bit_length()
-    for b in masks:
-        partners, outside = [0] * n, [1 << y for y in range(n) if not b >> y & 1]
-        for x in _elements(b):
-            partners[x - 1] = sum(y for y in outside if b ^ 1 << x - 1 | y in family)
-        table.append((b, tuple(partners)))
-    return tuple(table)
+@lru_cache(maxsize=None)
+def _held(bases: frozenset[frozenset[int]]) -> frozenset[int]:
+    """The elements that some basis holds: the labels of its exchange masks."""
+    return frozenset().union(*bases)
 
 
-def _violation(blist, table):
-    """First (B1, B2, x) over blist, whose exchange table is given, witnessing an
-    exchange failure, or None."""
-    for b1, (m1, partners) in zip(blist, table):
-        keep = [(x, 1 << x - 1 | partners[x - 1]) for x in _elements(m1)]
-        for b2, (m2, _) in zip(blist, table):
-            for x, kept_by in keep:  # B2 holds x, or a y that can replace it in B1
-                if not m2 & kept_by:
-                    return b1, b2, x
-    return None
+@lru_cache(maxsize=None)
+def _swap_table(bases: frozenset[frozenset[int]], labels: frozenset[int]):
+    """(entries, swaps, bit) of a family of bases, on masks with ``bit[x]`` = 1 << i
+    for the i-th smallest label x.
+
+    ``swaps[C]``, for each basis less one of its elements, is the mask of the y
+    for which C + y is a basis.  ``entries`` holds, for each basis B in sorted
+    order, its sorted elements, its mask and its (x, swaps[B - x]) pairs in
+    increasing x: swaps[B - x] holds x itself and every y that can replace x in B.
+    """
+    bit = {x: 1 << i for i, x in enumerate(sorted(labels))}
+    masked = [(b, sum(map(bit.__getitem__, b))) for b in sorted(map(sorted, bases))]
+    swaps = defaultdict(int)
+    for b, c in masked:
+        for x in b:
+            swaps[c ^ bit[x]] |= bit[x]
+    return tuple((b, c, tuple((x, swaps[c ^ bit[x]]) for x in b)) for b, c in masked), swaps, bit
 
 
 def exchange_violation(bases):
     """First (B1, B2, x), over the sorted bases, witnessing an exchange failure, or None."""
-    blist = sorted(bases, key=lambda b: tuple(sorted(b)))
-    return _violation(blist, _exchange_table(blist))
+    bases = frozenset(map(frozenset, bases))
+    entries = _swap_table(bases, _held(bases))[0]
+    for b1, _, keep in entries:
+        for b2, m2, _ in entries:
+            for x, kept_by in keep:  # B2 holds x, or a y that can replace it in B1
+                if not m2 & kept_by:
+                    return frozenset(b1), frozenset(b2), x
+    return None
 
 
 def matroid_from_bases(n: int, bases) -> SetMatroid:
@@ -84,16 +88,10 @@ def matroid_from_bases(n: int, bases) -> SetMatroid:
     sizes = {len(b) for b in bset}
     if len(sizes) != 1:
         raise DomainError(f"bases of unequal sizes: {sorted(sizes)}")
-    m = SetMatroid(n=n, bases=bset, rank=sizes.pop())
-    witness = _violation(m.sorted_bases(), _exchanges(m))  # the table criterion 3 reads
+    witness = exchange_violation(bset)  # builds the table criterion 3 reads
     if witness is not None:
         raise ExchangeAxiomError(*witness)
-    return m
-
-
-@lru_cache(maxsize=None)
-def _exchanges(m: SetMatroid) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    return _exchange_table(m.sorted_bases())
+    return SetMatroid(n=n, bases=bset, rank=sizes.pop())
 
 
 @lru_cache(maxsize=None)
@@ -110,7 +108,7 @@ def _lattice(m: SetMatroid) -> tuple[tuple[int, ...], frozenset[int]]:
     ones = int.from_bytes(b"\1" * size, "little")
     marks = bytearray(size)
     for b in m.bases:
-        marks[_mask(b)] = 1
+        marks[sum(1 << x - 1 for x in b)] = 1
     indep, steps = int.from_bytes(marks, "little"), []
     for i in range(n):  # steps: (shift from S to S + x, table of the S holding x, of the rest)
         has = int.from_bytes((bytes(1 << i) + b"\1" * (1 << i)) * (size >> i + 1), "little")
@@ -160,15 +158,18 @@ def is_quotient(m: SetMatroid, n: SetMatroid, criterion: int = 1) -> bool:
     if criterion == 2:
         return _lattice(m)[1] <= _lattice(n)[1]
     if criterion == 3:  # B' serves p unless some q in B' has B' - q + p in m but not B - q + p in n
-        m_exchanges = _exchanges(m)
-        for b, b_partners in _exchanges(n):
-            # the p that no B' inside B serves yet.  A p outside [n] is in no basis of m, so
-            # any B' inside B serves it, and if none lies inside B, B is not [n] and the
-            # verdict is false anyway: starting from every p outside B changes no verdict
+        labels = _held(m.bases) | _held(n.bases)
+        m_entries = _swap_table(m.bases, labels)[0]
+        n_entries, n_swaps, bit = _swap_table(n.bases, labels)
+        for _, b, _ in n_entries:
+            # the p that no B' inside B serves yet.  A p that no basis holds (no bit, or
+            # outside [n]) is in no basis of m, so any B' inside B serves it, and if none
+            # lies inside B, B is not [n] and the verdict is false anyway: starting from
+            # every p outside B changes no verdict
             unmet = ~b
-            for bp, bp_partners in m_exchanges:
+            for _, bp, keep in m_entries:
                 if unmet and not bp & ~b:
-                    unmet &= reduce(or_, (x & ~y for x, y in zip(bp_partners, b_partners)), 0)
+                    unmet &= reduce(or_, (s & ~n_swaps[b ^ bit[q]] for q, s in keep), 0)
             if unmet:
                 return False
         return True
@@ -248,9 +249,10 @@ def matroid_from_rational_matrix(rows) -> SetMatroid:
     if ncols > MAX_LATTICE_N:
         raise DomainError(f"matroid_from_rational_matrix needs at most {MAX_LATTICE_N} columns,"
                           f" got {ncols}")
-    r = _matrix_rank_int(mat)
+    basis = [mat[i] for i in _eliminate(zip(*mat))[0]]  # rows, by the transpose's pivots
+    r = len(basis)
     bases = frozenset(frozenset(cols) for cols in combinations(range(1, ncols + 1), r)
-                      if _matrix_rank_int([[row[c - 1] for c in cols] for row in mat]) == r)
+                      if _matrix_rank_int([[row[c - 1] for c in cols] for row in basis]) == r)
     return SetMatroid(ncols, bases, r)
 
 

@@ -32,13 +32,16 @@ MAX_LATTICE_N = 16
 
 
 @lru_cache(maxsize=None)
-def _packing(n: int) -> tuple[tuple[int, ...], int]:
-    """``(weight, guard)``: ``weight[x]`` counts value x once per threshold
-    t = 2..x, one field per t holding a count (at most n - 1) and a guard bit;
-    c <= d in every field iff ``(d | guard) - c & guard == guard``."""
+def _packing(n: int) -> tuple[int, int, int]:
+    """``(ones, w, guard)``: the weight of value x, ``ones >> w * (n + 1 - x)``,
+    counts x once per threshold t = 2..x, one w-bit field per t holding a count
+    (at most n - 1) and a guard bit; c <= d in every field iff
+    ``(d | guard) - c & guard == guard``.  ``ones`` has a 1 in each of n
+    fields, and each weight is shifted out of it when read: the cache holds
+    O(n log n) bits, where a table of the n weights would hold O(n^2 log n)."""
     w = (n - 1).bit_length() + 1
-    weight = tuple(sum(1 << w * t for t in range(x - 1)) for x in range(n + 1))
-    return weight, weight[n] << w - 1
+    ones = ((1 << w * n) - 1) // ((1 << w) - 1)
+    return ones, w, ones >> 1
 
 
 def perm(values) -> Perm:
@@ -91,7 +94,8 @@ def bruhat_covers(p: Perm) -> frozenset[Perm]:
 def bruhat_leq(u: Perm, v: Perm) -> bool:
     """Strong Bruhat order by the tableau criterion: u <= v iff for every k
     and threshold t, no more of u(1..k) than of v(1..k) are >= t; one borrow
-    test per k on the counts packed by :func:`_packing`.
+    test per k on the counts packed by :func:`_packing`, so O(n) additions and
+    shifts of integers of O(n log n) bits each.
 
     >>> bruhat_leq((1, 3, 2, 4), (3, 4, 1, 2))
     True
@@ -101,12 +105,14 @@ def bruhat_leq(u: Perm, v: Perm) -> bool:
     >>> bruhat_leq(identity(20), w0), bruhat_leq(w0, identity(20))
     (True, False)
     """
-    if len(u) != len(v):
-        raise DomainError(f"mismatched sizes: {len(u)} vs {len(v)}")
-    weight, guard = _packing(len(u))
+    n = len(u)
+    if len(v) != n:
+        raise DomainError(f"mismatched sizes: {n} vs {len(v)}")
+    ones, w, guard = _packing(n)
+    top = w * (n + 1)
     cu = cv = 0
     for x, y in zip(u, v):
-        cu, cv = cu + weight[x], cv + weight[y]
+        cu, cv = cu + (ones >> top - w * x), cv + (ones >> top - w * y)
         if (cv | guard) - cu & guard != guard:
             return False
     return True
@@ -124,7 +130,8 @@ def _prefix_lattice(u: Perm, v: Perm) -> list[dict[int, list]]:
     n = len(u)
     if len(v) != n:
         raise DomainError(f"mismatched sizes: {n} vs {len(v)}")
-    weight, guard = _packing(n)
+    ones, w, guard = _packing(n)
+    weight = [ones >> w * (n + 1 - x) for x in range(n + 1)]
     low = list(accumulate((weight[x] for x in u), initial=0))
     high = [c | guard for c in accumulate((weight[x] for x in v), initial=0)]
     full = (1 << n) - 1
@@ -267,19 +274,9 @@ def chain_of_permutation(t: Perm) -> Chain:
     )
 
 
-_DIGITS = b"0123456789".ljust(256, b"-")  # bytes.translate table: 0..9 to digits, the rest to "-"
-
-
 def perm_to_str(p: Perm) -> str:
-    """Digit string for n <= 9, comma-separated values otherwise.  An entry
-    outside 0..9, in no permutation of n <= 9, is joined as digits, not bytes."""
-    if len(p) > 9:
-        return ",".join(map(str, p))
-    try:
-        digits = bytes(p).translate(_DIGITS)
-    except (TypeError, ValueError):  # an entry that is no byte
-        digits = b""
-    return digits.decode() if digits.isdigit() else "".join(map(str, p))
+    """Digit string for n <= 9, comma-separated values otherwise."""
+    return ("," if len(p) > 9 else "").join(map(str, p))
 
 
 def _int_list(s: str) -> list[int]:

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -424,6 +425,54 @@ def test_answers_cost_what_their_text_costs(capsys, argv, out):
     result, peak = run_traced(capsys, *argv)
     assert time.perf_counter() - start < 1.0 and peak < 5_000_000
     assert result == (0, out, "")
+
+
+FAR = 10**12  # an element, and a ground set, far beyond any table over [n]
+FAR_ONE = json.dumps({"n": FAR, "bases": [[FAR]]})
+FAR_TWO = json.dumps({"n": FAR, "bases": [[1, FAR], [2, FAR]]})
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    *[pytest.param(("matroid", "validate", json.dumps({"n": x, "bases": [[x]]})), 0,
+                   "ok     true\nrank   1\nbases  1\n", "", id=f"matroid validate {{{x}}}")
+      for x in (10**5, FAR)],
+    # the n = 4 analogue, {4} against {1, 4} and {2, 4}, is a quotient by hand:
+    # 4 is the one non-loop of the first, and 1 and 2 are parallel in the second
+    pytest.param(("matroid", "quotient-check", FAR_ONE, FAR_TWO, "--criterion", "3"), 0,
+                 "criterion 3  true\n", "", id="matroid quotient-check far"),
+    pytest.param(("flag", "polytope", json.dumps({"n": FAR, "constituents": [json.loads(FAR_ONE)]})),
+                 1, "", f"error: flag polytopes need n <= {MAX_LATTICE_N}, got n={FAR}\n",
+                 id="flag polytope of one far matroid"),
+])
+def test_exchange_masks_follow_the_bases(capsys, argv, code, out, err):
+    # exchange masks give bits only to the elements that the bases hold
+    start = time.perf_counter()
+    result, peak = run_traced(capsys, *argv)
+    assert time.perf_counter() - start < 1.0 and peak < 5_000_000
+    assert result == (code, out, err)
+
+
+@pytest.mark.parametrize("form", ["text", "file", "stdin"])
+def test_deep_json_exit_code(capsys, monkeypatch, tmp_path, form):
+    doc = "[" * 60_000  # nested past the decoder's recursion limit
+    (tmp_path / "deep.json").write_text(doc)
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    arg = {"text": doc, "file": f"@{tmp_path / 'deep.json'}", "stdin": "-"}[form]
+    start = time.perf_counter()
+    (code, out, err), peak = run_traced(capsys, "matroid", "validate", arg)
+    assert time.perf_counter() - start < 1.0 and peak < 5_000_000
+    assert (code, out) == (2, "") and err.startswith("usage error: malformed JSON: ")
+    assert "Traceback" not in err
+
+
+def test_bruhat_leq_cost_follows_its_text(capsys):
+    n = 5_000
+    e, w0 = (",".join(map(str, p)) for p in (identity(n), longest(n)))
+    start = time.perf_counter()
+    result, peak = run_traced(capsys, "bruhat", "leq", e, w0)
+    assert time.perf_counter() - start < 1.0 and peak < 5_000_000
+    assert result == (0, "leq  true\n", "")
+    assert run(capsys, "bruhat", "leq", w0, e) == (0, "leq  false\n", "")
 
 
 def test_lpm_bases_refuses_above_max_bases(capsys):

@@ -25,10 +25,17 @@ The groups:
   with n, in both forms;
 * ``malformed``: hyperplanes with a 5,000-digit integer as a level or an
   index, and ``flag polytope`` of one constituent at n = 300,000, in both
-  forms.
+  forms;
+* ``doors``: requests whose cost follows their text, in both forms: matroids
+  whose one basis is {10^5} or {10^12} (validated, quotient-checked by
+  criterion 3 and as a one-constituent flag polytope), a JSON document of
+  60,000 ``[``, ``bruhat leq`` of e and w0 at n = 2,000, and ``matroid
+  from-matrix`` of a rank-7 matrix of 14 columns with its rows repeated to 140.
 
-It took 9 s on a 2-core machine, and 19 s on a commit whose checks built
-[n] for the ``huge-n`` requests (about 400 MB each).
+It took 11 s on a 2-core machine; 22 s on a commit whose exchange masks
+covered [n] and whose ``bruhat leq`` summed a table of n weights, and 19 s on
+a commit whose checks built [n] for the ``huge-n`` requests (about 400 MB
+each).
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
@@ -133,6 +141,25 @@ def malformed():
     ])
 
 
+def doors():
+    far = 10**12
+    one = json.dumps({"n": far, "bases": [[far]]})
+    two = json.dumps({"n": far, "bases": [[1, far], [2, far]]})
+    rng = random.Random(7)
+    rows = [[rng.randint(-3, 3) for _ in range(14)] for _ in range(7)]
+    e, w0 = (",".join(map(str, p)) for p in (range(1, 2001), range(2000, 0, -1)))
+    return both_forms([
+        ["matroid", "validate", json.dumps({"n": 10**5, "bases": [[10**5]]})],
+        ["matroid", "validate", one],
+        ["matroid", "quotient-check", one, two, "--criterion", "3"],
+        ["flag", "polytope", json.dumps({"n": far, "constituents": [json.loads(one)]})],
+        ["matroid", "validate", "[" * 60_000],
+        ["bruhat", "leq", e, w0],
+        ["bruhat", "leq", w0, e],
+        ["matroid", "from-matrix", json.dumps([rows[i % 7] for i in range(140)])],
+    ])
+
+
 GROUPS = {
     "queries": queries,
     "split-check": split_checks,
@@ -142,6 +169,7 @@ GROUPS = {
     "verify": verifies,
     "huge-n": huge_n,
     "malformed": malformed,
+    "doors": doors,
 }
 
 
