@@ -46,7 +46,7 @@ False
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, product
 
@@ -66,12 +66,8 @@ MAX_CHAIN_N = 2000
 MAX_BASES = 2**21
 
 
-@dataclass(frozen=True)
-class LatticePathMatroid:
-    n: int
-    k: int
-    U: tuple[int, ...]
-    L: tuple[int, ...]
+class LatticePathMatroid(namedtuple("LatticePathMatroid", "n k U L")):
+    __slots__ = ()
 
     def __str__(self):
         if self.n <= 9:
@@ -82,14 +78,8 @@ class LatticePathMatroid:
         )
 
 
-@dataclass(frozen=True)
-class GoodPair:
-    """A removable step pair (u at index j of U, l at index i of L); 1-based."""
-
-    u: int
-    l: int
-    j: int
-    i: int
+# A removable step pair (u at index j of U, l at index i of L); 1-based.
+GoodPair = namedtuple("GoodPair", "u l j i")
 
 
 def lpm_new(n: int, upper, lower) -> LatticePathMatroid:
@@ -220,12 +210,8 @@ def is_lpm(m: SetMatroid):
 # --- full flags -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LPFMFlag:
-    """Full flag of LPMs on [n], one constituent per rank 1..n."""
-
-    n: int
-    constituents: tuple[LatticePathMatroid, ...]
+# Full flag of LPMs on [n], one constituent per rank 1..n.
+LPFMFlag = namedtuple("LPFMFlag", "n constituents")
 
 
 def lpfm_flag(constituents) -> LPFMFlag:

@@ -9,8 +9,7 @@ elements the bases hold, so their cost follows the bases and not n.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations, compress
@@ -21,13 +20,10 @@ from .errors import DomainError, ExchangeAxiomError, _json_fraction, _json_int
 from .perm import MAX_LATTICE_N
 
 
-@dataclass(frozen=True)
-class SetMatroid:
+class SetMatroid(namedtuple("SetMatroid", "n bases rank")):
     """Matroid given by its bases.  Build through :func:`matroid_from_bases` or a theorem."""
 
-    n: int
-    bases: frozenset[frozenset[int]]
-    rank: int
+    __slots__ = ()
 
     def ground(self) -> frozenset[int]:
         return frozenset(range(1, self.n + 1))

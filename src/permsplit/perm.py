@@ -12,7 +12,7 @@ Everything here is a pure function over immutable tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
 
@@ -197,14 +197,13 @@ def dual_permutation(t: Perm) -> Perm:
     return tuple(n - x + 1 for x in t)
 
 
-@dataclass(frozen=True)
-class BruhatInterval:
-    lo: Perm
-    hi: Perm
+class BruhatInterval(namedtuple("BruhatInterval", "lo hi")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not bruhat_leq(self.lo, self.hi):
-            raise DomainError(f"{self.lo} is not <= {self.hi} in Bruhat order")
+    def __new__(cls, lo: Perm, hi: Perm):
+        if not bruhat_leq(lo, hi):
+            raise DomainError(f"{lo} is not <= {hi} in Bruhat order")
+        return tuple.__new__(cls, (lo, hi))
 
     @property
     def n(self) -> int:
@@ -217,10 +216,7 @@ class BruhatInterval:
 def _proved_interval(lo: Perm, hi: Perm) -> BruhatInterval:
     """[lo, hi] for a pair proved comparable by its caller, without the
     ``bruhat_leq`` check of the constructor."""
-    iv = object.__new__(BruhatInterval)
-    object.__setattr__(iv, "lo", lo)
-    object.__setattr__(iv, "hi", hi)
-    return iv
+    return tuple.__new__(BruhatInterval, (lo, hi))
 
 
 def dual_interval(iv: BruhatInterval) -> BruhatInterval:

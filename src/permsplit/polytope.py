@@ -9,7 +9,7 @@ only for the vertices it returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -26,47 +26,39 @@ Point = tuple  # n exact rationals (ints or Fractions)
 _SENSES = {">=": ge, "<=": le, "=": eq}
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
+class LinearConstraint(namedtuple("LinearConstraint", "support sense level")):
     """sum of x_i over the support, compared to an exact rational level."""
 
-    support: frozenset[int]
-    sense: str  # ">=", "<=", "="
-    level: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.support:
+    def __new__(cls, support, sense: str, level):
+        support = frozenset(map(int, support))
+        if not support:
             raise DomainError("constraint support must be nonempty")
-        if self.sense not in (">=", "<=", "="):
-            raise DomainError(f"unknown sense {self.sense!r}")
-        object.__setattr__(self, "support", frozenset(int(i) for i in self.support))
-        object.__setattr__(self, "level", Fraction(self.level))
+        if sense not in (">=", "<=", "="):
+            raise DomainError(f"unknown sense {sense!r}")
+        return tuple.__new__(cls, (support, sense, Fraction(level)))
 
 
-@dataclass(frozen=True)
-class Face2D:
-    """A 2-face of the permutahedron, given by an ordered set partition.
-
-    Blocks are position sets; the first block carries the largest values.
-    Exactly one block of size 3 gives a hexagon, two blocks of size 2 a
-    square.  ``lo``/``hi`` are the Bruhat-least and -greatest vertices.
-    """
-
-    blocks: tuple[tuple[int, ...], ...]
-    shape: str
-    lo: Perm
-    hi: Perm
+# A 2-face of the permutahedron, given by an ordered set partition.  Blocks are
+# position sets; the first block carries the largest values.  Exactly one block
+# of size 3 gives a hexagon, two blocks of size 2 a square.  ``lo``/``hi`` are
+# the Bruhat-least and -greatest vertices.
+Face2D = namedtuple("Face2D", "blocks shape lo hi")
 
 
-@dataclass(frozen=True)
-class VertexEnumeration:
-    points: tuple[Point, ...]  # empty when the system has no vertex
+class VertexEnumeration(tuple):
+    """The sorted vertices of a system, empty when it has none; ``points`` is
+    the tuple itself."""
 
-    def __iter__(self):
-        return iter(self.points)
+    __slots__ = ()
 
-    def __len__(self):
-        return len(self.points)
+    def __new__(cls, points=()):
+        return tuple.__new__(cls, points)
+
+    @property
+    def points(self) -> tuple[Point, ...]:
+        return self
 
 
 @lru_cache(maxsize=None)
@@ -264,10 +256,10 @@ def enumerate_vertices(constraints, n: int) -> VertexEnumeration:
         if all(holds(sum(map(mul, row, nums)), rhs * den) for holds, row, rhs in forms):
             g = gcd(den, *nums)
             found.add((tuple(x // g for x in nums), den // g))
-    return VertexEnumeration(points=tuple(sorted(
+    return VertexEnumeration(sorted(
         tuple(x // den if x % den == 0 else Fraction(x, den) for x in nums)
         for nums, den in found
-    )))
+    ))
 
 
 def is_permutation_point(p: Point) -> bool:

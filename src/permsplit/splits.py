@@ -114,7 +114,7 @@ keeps the side that :func:`_canonical` admits.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 from math import comb
 
@@ -143,8 +143,7 @@ def _canonical(n: int, support) -> bool:
     return (2 * len(support), 1 not in support) <= (n, False)
 
 
-@dataclass(frozen=True)
-class SplitHyperplane:
+class SplitHyperplane(namedtuple("SplitHyperplane", "n support level")):
     """x_S = level, normalized across the ambient complement S <-> [n] - S to
     the side :func:`_canonical` admits.
 
@@ -153,16 +152,12 @@ class SplitHyperplane:
     size, not n.
     """
 
-    n: int
-    support: frozenset[int]
-    level: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = self.n
-        s = frozenset(map(int, self.support))
+    def __new__(cls, n: int, support, level: int):
+        s = frozenset(map(int, support))
         if not 0 < len(s) < n or min(s) < 1 or max(s) > n:
             raise DomainError(f"support must be a nonempty proper subset of [{n}]")
-        level = self.level
         if isinstance(level, bool) or int(level) != level:
             raise DomainError(f"level must be an integer, got {level!r}")
         level = int(level)
@@ -173,8 +168,7 @@ class SplitHyperplane:
             raise DomainError(
                 f"level {level} outside [{lo}, {hi}] for a support of size {len(s)}"
             )
-        object.__setattr__(self, "support", s)
-        object.__setattr__(self, "level", level)
+        return tuple.__new__(cls, (n, s, level))
 
     def __str__(self):
         return hyperplane_text(self)
@@ -192,20 +186,14 @@ def hyperplane_to_json(h: SplitHyperplane) -> dict:
     return {"S": sorted(h.support), "alpha": h.level}
 
 
-@dataclass(frozen=True)
-class SplitReport:
-    """Outcome of checking one hyperplane against the permutahedron.
-
-    ``cells`` is ordered (cell containing the identity, cell containing the
-    longest permutation); ``lpfm`` holds the two flag verdicts in the same
-    order, both true by the paper's theorem.  ``reason`` explains not-a-split outcomes.
-    """
-
-    verdict: str  # "good-split" | "bad-square" | "bad-hexagon" | "not-a-split"
-    cells: tuple[BruhatInterval, BruhatInterval] | None = None
-    offending_face: Face2D | None = None
-    lpfm: tuple[bool, bool] | None = None
-    reason: str | None = None
+# Outcome of checking one hyperplane against the permutahedron.  ``verdict`` is
+# "good-split", "bad-square", "bad-hexagon" or "not-a-split".  ``cells`` is ordered
+# (cell containing the identity, cell containing the longest permutation), two
+# BruhatIntervals; ``lpfm`` holds the two flag verdicts in the same order, both
+# true by the paper's theorem; ``offending_face`` is the Face2D a bad split cuts,
+# and ``reason`` explains not-a-split outcomes.
+SplitReport = namedtuple("SplitReport", "verdict cells offending_face lpfm reason",
+                         defaults=(None, None, None, None))
 
 
 def _families(n: int) -> dict[SplitHyperplane, tuple[str, int, int]]:

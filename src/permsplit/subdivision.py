@@ -9,7 +9,7 @@ refinement, which for them is inclusion of hyperplane sets (proved in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -38,32 +38,21 @@ from .splits import (
 MAX_POSET_N = 4
 
 
-@dataclass(frozen=True)
-class SubdivisionCell:
-    """One maximal cell: its sign vector, Bruhat interval, and flag verdict."""
+class SubdivisionCell(namedtuple("SubdivisionCell", "signs interval lpfm")):
+    """One maximal cell: its sign vector ("-" = below side, "+" = above side,
+    per hyperplane), Bruhat interval, and flag verdict."""
 
-    signs: str  # "-" = below side, "+" = above side, per hyperplane
-    interval: BruhatInterval
-    lpfm: bool
+    __slots__ = ()
 
     def points(self) -> tuple[Perm, ...]:
         return bruhat_interval(self.interval.lo, self.interval.hi)
 
 
-@dataclass(frozen=True)
-class Subdivision:
-    n: int
-    hyperplanes: tuple[SplitHyperplane, ...]
-    cells: tuple[SubdivisionCell, ...]
+Subdivision = namedtuple("Subdivision", "n hyperplanes cells")
 
-
-@dataclass(frozen=True)
-class SubdivisionRejection:
-    n: int
-    hyperplanes: tuple[SplitHyperplane, ...]
-    reason: str  # "new-vertex" | "non-bip-cell"
-    signs: str
-    witness: tuple  # offending vertex, or the offending cell's vertex tuple
+# ``reason`` is "new-vertex" or "non-bip-cell"; ``witness`` the offending vertex,
+# or the offending cell's vertex tuple
+SubdivisionRejection = namedtuple("SubdivisionRejection", "n hyperplanes reason signs witness")
 
 
 def _ordered(hs) -> tuple[SplitHyperplane, ...]:
@@ -145,14 +134,11 @@ def refines(a: Subdivision, b: Subdivision) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SubdivisionPoset:
-    """Accepted subdivisions ordered by refinement (finer = higher)."""
+class SubdivisionPoset(namedtuple("SubdivisionPoset", "n elements leq covers")):
+    """Accepted subdivisions ordered by refinement (finer = higher); ``leq``
+    holds (i, j) when element j refines element i."""
 
-    n: int
-    elements: tuple[Subdivision, ...]
-    leq: frozenset[tuple[int, int]]  # (i, j): element j refines element i
-    covers: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     def minimal_indices(self) -> tuple[int, ...]:
         below = {j for i, j in self.leq if i != j}

@@ -12,7 +12,7 @@ The CLI ``verify`` subcommand and the acceptance tests both run these.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, product
 from operator import ge, le
@@ -77,11 +77,7 @@ MAX_VERIFY_N = 5
 _SAMPLES = 200
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+CheckResult = namedtuple("CheckResult", "name passed detail")
 
 
 # --- oracles -----------------------------------------------------------------

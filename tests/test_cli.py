@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permsplit import matroid
+from permsplit import cli, matroid
 from permsplit.cli import UsageError, _emit, _run, build_parser, main, parse_hyperplane
 from permsplit.errors import _json_text
 from permsplit.lpm import MAX_BASES, MAX_CHAIN_N
@@ -700,6 +700,35 @@ def test_every_leaf_answer_is_unchanged(capsys, monkeypatch):
     for a in answers:
         for fmt in ("table", "json"):
             assert run(capsys, *a["argv"], "--format", fmt) == (0, a[fmt], ""), (a["argv"], fmt)
+
+
+def _plain(x):
+    """Whether x is built of JSON values alone: dict, list, exact tuple, str, int,
+    bool, None.  A record is a tuple too, and would be written as an array."""
+    if isinstance(x, dict):
+        return all(type(k) is str and _plain(v) for k, v in x.items())
+    if type(x) in (list, tuple):
+        return all(map(_plain, x))
+    return x is None or type(x) in (str, int, bool)
+
+
+@pytest.mark.parametrize("argv", DISPATCH_CORPUS[:21] + [
+    ["split", "check", "-n", "4", "x1+x2=4"],  # a good split: its cells and flag verdicts
+    ["split", "check", "-n", "4", "x1=2"],
+    ["split", "check", "-n", "5", "x1+x2=6"],
+], ids=" ".join)
+def test_handler_payloads_hold_no_record(capsys, monkeypatch, argv):
+    # _json_text writes any tuple as an array and _emit reads a tuple row as (label,
+    # value), so a record reaching either would be written silently as its fields
+    emitted = []
+    monkeypatch.setattr(cli, "_emit", lambda payload, rows, fmt: emitted.append((payload, rows)))
+    for fmt in ("table", "json"):
+        assert main([*argv, "--format", fmt]) == 0
+    assert len(emitted) == 2
+    for payload, rows in emitted:
+        assert _plain(payload), payload
+        assert all(type(r) is str or (type(r) is tuple and len(r) == 2 and
+                                      all(type(t) is str for t in r)) for r in rows), rows
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

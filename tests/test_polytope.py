@@ -49,6 +49,18 @@ def test_facets():
             assert s >= c.level if c.sense == ">=" else s == c.level
 
 
+def test_constraint_support_is_checked_after_it_is_read():
+    # a one-shot iterable is read once, and an empty one is refused
+    for empty in (iter([]), (i for i in ()), [], frozenset()):
+        with pytest.raises(DomainError):
+            LinearConstraint(empty, "<=", 3)
+    c = LinearConstraint((i for i in (2, 1, 2)), "<=", 3)
+    assert c == LinearConstraint(frozenset({1, 2}), "<=", Fraction(3))
+    assert c.support == frozenset({1, 2}) and type(c.level) is Fraction
+    with pytest.raises(DomainError):
+        LinearConstraint({1}, "<", 3)
+
+
 def test_edges():
     assert len(permutahedron_edges(3)) == 6
     assert len(permutahedron_edges(4)) == 36  # 24 vertices, 3-regular
